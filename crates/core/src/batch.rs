@@ -24,10 +24,14 @@ use std::hash::Hash;
 /// Default shard width for [`sort_batch`]: wide enough that the lockstep
 /// inner loops stay vector-friendly and per-step overhead amortizes
 /// (measured side-8 throughput is within noise of the serial optimum at
-/// 512 lanes and gains < 10% beyond it; see `BENCH_meshsort.json`),
-/// narrow enough that a typical experiment batch still splits into
-/// several shards per worker for load balance, and small enough that a
-/// side-16 shard's structure-of-arrays buffer (512 KiB) stays near L2.
+/// 512 lanes and gains < 10% beyond it; see `BENCH_meshsort.json`), and
+/// small enough that a side-16 shard's structure-of-arrays buffer
+/// (512 KiB) stays near L2.
+///
+/// Threads take whole shards, so a batch of at most this many grids is
+/// one shard and runs on one thread whatever the thread count: a
+/// 256-grid experiment batch does not spread across cores. Narrower
+/// shards were measured and rejected (DESIGN.md §12).
 pub const DEFAULT_SHARD_WIDTH: usize = 512;
 
 /// Largest grid (in cells) the lockstep engine is profitable for. Bigger

@@ -223,6 +223,8 @@ impl SortJob {
 
     /// Worker threads for [`SortJob::run_batch`] (default:
     /// [`parallel::default_threads`], honouring `MESHSORT_THREADS`).
+    /// Threads take whole shards, so a batch no wider than one shard
+    /// ([`SortJob::shard_width`]) runs on one thread whatever this says.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);

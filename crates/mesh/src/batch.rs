@@ -47,8 +47,11 @@
 //! sound because the sorted state is a **fixed point** of the schedule —
 //! every wire is dead on a sorted grid, so the data (and the would-be swap
 //! count) of a retired lane never changes again. That property is exactly
-//! what [`crate::absint::verify_sorted_fixed_point`] certifies statically,
-//! so the entry point proves it *before* committing to lockstep execution
+//! what [`crate::absint::verify_sorted_fixed_point`] certifies statically.
+//! The entry point proves it *before* committing to lockstep execution,
+//! with the `O(comparators)` rank form
+//! [`crate::absint::verify_sorted_fixed_point_ranked`] (pinned to the dense
+//! proof's verdict and first offender by the absint differential suite),
 //! and falls back to faithful per-grid kernel runs for any schedule where
 //! it fails to hold. All five paper algorithms pass the proof (pinned by
 //! the absint test suite), so they always take the lockstep path.
@@ -132,11 +135,11 @@ impl LaneMask {
 /// zero-cost outcomes for grids that are already sorted on entry.
 ///
 /// Lockstep execution requires the sorted state to be a fixed point of the
-/// schedule; the engine certifies that statically via
-/// [`crate::absint::verify_sorted_fixed_point`] and silently falls back to
-/// per-grid kernel runs when the proof fails, so the faithfulness contract
-/// holds for *every* schedule while all five paper algorithms take the
-/// fast path.
+/// schedule; the engine certifies that statically on every call via
+/// [`crate::absint::verify_sorted_fixed_point_ranked`] and silently falls
+/// back to per-grid kernel runs when the proof fails, so the faithfulness
+/// contract holds for *every* schedule while all five paper algorithms
+/// take the fast path.
 ///
 /// An empty batch returns an empty vector. As with the scalar run loops,
 /// the schedule must have been validated against grids of this size (every
@@ -158,7 +161,7 @@ pub fn run_batch_until_sorted<T: KernelValue>(
     if let Some(odd) = grids.iter().find(|g| g.side() != side) {
         return Err(MeshError::MixedBatchSides { expected: side, found: odd.side() });
     }
-    if absint::verify_sorted_fixed_point(schedule, order, side).is_err() {
+    if absint::verify_sorted_fixed_point_ranked(schedule, order, side).is_err() {
         // Sorted grids are not inert under this schedule, so lanes cannot
         // retire in place; run each grid through the (equally faithful)
         // per-grid kernel engine instead.

@@ -5,7 +5,7 @@
 //! buckets over microseconds) so p50/p99 stay cheap to compute under
 //! load — the whole snapshot path is lock-per-route, no allocation per
 //! request. Queue depth, batch occupancy, and plan-cache hit rate come
-//! from the batcher. [`Metrics::snapshot_json`] renders the whole thing
+//! from the batcher, engine busy time from its workers. [`Metrics::snapshot_json`] renders the whole thing
 //! as one JSON object for the `STATS` route, and [`Metrics::log_line`]
 //! gives the periodic one-line operator summary.
 
@@ -187,6 +187,11 @@ pub struct Metrics {
     /// Measured drain latency (drain signal → full worker-tree join),
     /// microseconds; 0 until a drain completes.
     drain_latency_us: AtomicU64,
+    /// Engine workers the batcher runs units on.
+    engine_workers: AtomicUsize,
+    /// Microseconds engine workers spent inside `run_batch`, summed over
+    /// workers.
+    engine_busy_us: AtomicU64,
 }
 
 impl Metrics {
@@ -204,6 +209,8 @@ impl Metrics {
             deadline_shed: AtomicU64::new(0),
             stalled_disconnects: AtomicU64::new(0),
             drain_latency_us: AtomicU64::new(0),
+            engine_workers: AtomicUsize::new(0),
+            engine_busy_us: AtomicU64::new(0),
         }
     }
 
@@ -305,6 +312,27 @@ impl Metrics {
         self.drain_latency_us.load(Ordering::Relaxed)
     }
 
+    /// Records how many engine workers the batcher started.
+    pub fn set_engine_workers(&self, workers: usize) {
+        self.engine_workers.store(workers, Ordering::Relaxed);
+    }
+
+    /// Engine workers serving sorts (0 before the batcher starts).
+    pub fn engine_workers(&self) -> usize {
+        self.engine_workers.load(Ordering::Relaxed)
+    }
+
+    /// Adds one engine call's wall time to the engine's busy total.
+    #[allow(clippy::cast_possible_truncation)]
+    pub fn record_engine_busy(&self, busy: Duration) {
+        self.engine_busy_us.fetch_add(busy.as_micros() as u64, Ordering::Relaxed);
+    }
+
+    /// Microseconds engine workers have spent inside `run_batch`.
+    pub fn engine_busy_us(&self) -> u64 {
+        self.engine_busy_us.load(Ordering::Relaxed)
+    }
+
     /// Total completed requests across routes.
     pub fn total_completed(&self) -> u64 {
         Route::ALL.iter().map(|r| lock_unpoisoned(&self.routes[r.index()]).completed).sum()
@@ -354,6 +382,13 @@ impl Metrics {
             ("drain_latency_us", self.drain_latency_us().into()),
             ("routes", Value::object(routes)),
             ("batches", batches),
+            (
+                "engine",
+                Value::object([
+                    ("workers", self.engine_workers().into()),
+                    ("busy_us", self.engine_busy_us().into()),
+                ]),
+            ),
         ])
         .to_string()
     }
@@ -366,7 +401,7 @@ impl Metrics {
         let mean_occupancy =
             if b.batches == 0 { 0.0 } else { b.occupancy_sum as f64 / b.batches as f64 };
         format!(
-            "meshsortd: sorted={} errors={} p50={:.0}us p99={:.0}us depth={} batches={} occ={:.1} rejected={} proto_err={} shed={} panics={} stalled={}",
+            "meshsortd: sorted={} errors={} p50={:.0}us p99={:.0}us depth={} batches={} occ={:.1} rejected={} proto_err={} shed={} panics={} stalled={} workers={} busy_us={}",
             sort.completed,
             sort.errors,
             sort.latency.quantile_us(0.50),
@@ -379,6 +414,8 @@ impl Metrics {
             self.deadline_shed(),
             self.panics_quarantined(),
             self.stalled_disconnects(),
+            self.engine_workers(),
+            self.engine_busy_us(),
         )
     }
 }
@@ -454,6 +491,9 @@ mod tests {
         m.record_deadline_shed();
         m.record_stalled_disconnect();
         m.record_drain_latency(Duration::from_micros(1234));
+        m.set_engine_workers(2);
+        m.record_engine_busy(Duration::from_micros(300));
+        m.record_engine_busy(Duration::from_micros(200));
         assert_eq!(m.panics_quarantined(), 1);
         assert_eq!(m.deadline_shed(), 2);
         assert_eq!(m.stalled_disconnects(), 1);
@@ -464,7 +504,9 @@ mod tests {
         assert!(json.contains("\"stalled_disconnects\": 1"), "{json}");
         assert!(json.contains("\"drain_latency_us\": 1234"), "{json}");
         let line = m.log_line();
+        assert!(json.contains("\"engine\": {\"workers\": 2, \"busy_us\": 500}"), "{json}");
         assert!(line.contains("shed=2") && line.contains("panics=1"), "{line}");
+        assert!(line.contains("workers=2 busy_us=500"), "{line}");
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Runs `f`, converting a panic into `Err(message)` instead of
 /// unwinding. The caller is responsible for discarding any state the
-/// closure may have left half-updated (the batcher drops the whole
-/// batch's grids on a quarantined panic).
+/// closure may have left half-updated (an engine worker drops the whole
+/// unit's grids on a quarantined panic).
 pub fn quarantined<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(payload.as_ref()))
 }

@@ -1,5 +1,5 @@
-//! The `meshsortd` server: accept loop, bounded queues, coalescing
-//! batcher, and graceful drain.
+//! The `meshsortd` server: accept loop, bounded queues, a coalescing
+//! batcher feeding a pool of engine workers, and graceful drain.
 //!
 //! Threading model (pure `std`, no async runtime):
 //!
@@ -13,17 +13,29 @@
 //!   `QueueFull` (code 503), never buffers unboundedly — then the
 //!   handler blocks on a per-request reply channel. `ANALYZE`, `STATS`,
 //!   and `PING` are answered inline; `DRAIN` begins graceful shutdown.
-//! - The **batcher** drains the sort queue greedily (up to
-//!   `max_batch`), groups compatible requests by
-//!   `(algorithm, side, optimized, budget)`, and runs each group
-//!   through one [`SortJob::run_batch`] call against the process-wide
-//!   plan caches — no request ever recompiles a schedule. The **chaos
-//!   worker** runs resilient jobs one at a time off its own queue.
+//! - The **coalescer** (one thread) drains the sort queue greedily (up
+//!   to `max_batch`), sheds work already past its deadline, groups
+//!   compatible requests by `(algorithm, side, optimized, budget)`, and
+//!   resolves each group's plan against the process-wide plan caches —
+//!   no request ever recompiles a schedule, and every cold compile,
+//!   optimization and bound lift runs on this one thread. It then hands
+//!   the group on as units: a lockstep-sized group (at most
+//!   [`LOCKSTEP_MAX_CELLS`] cells per grid) stays one unit, a bigger
+//!   group becomes one unit per grid.
+//! - The **engine workers**, one per [`parallel::default_threads`]
+//!   (`MESHSORT_THREADS` overrides it), take units from the coalescer
+//!   through a rendezvous channel, so a unit is handed on only when a
+//!   worker is free and the sort queue keeps coalescing meanwhile. Each
+//!   worker sheds what expired during the hand-off, runs the unit
+//!   through one [`SortJob::run_batch`] call, and replies to each
+//!   request. The **chaos worker** runs resilient jobs one at a time off
+//!   its own queue.
 //!
 //! Drain (the `DRAIN` frame, or [`ServerHandle::request_drain`], which
 //! the binary wires to stdin EOF): stop accepting, unblock idle
-//! handlers, let in-flight requests finish, then the queues close and
-//! every worker exits. [`ServerHandle::wait`] joins the whole tree.
+//! handlers, let in-flight requests finish, then the queues close, the
+//! coalescer closes the unit channel, and every worker exits.
+//! [`ServerHandle::wait`] joins the whole tree.
 //! The drain signal travels through a condvar-backed
 //! [`resilience::ShutdownGate`], so nothing sleep-polls: accept loop,
 //! logger, and handlers all wake within one gate tick, and the measured
@@ -32,20 +44,24 @@
 //! Resilience (see `resilience.rs`): every handler socket carries
 //! read/write timeouts, peers that stall mid-frame are disconnected,
 //! requests whose `deadline_ms` expired while queued are shed with code
-//! 504 before any engine work, and each batch-engine call runs under
+//! 504 before any engine work, and each engine call runs under
 //! `catch_unwind` — a poison request produces an ERROR frame (code
-//! [`CODE_PANIC`]) and a `panics_quarantined` tick, not a dead batcher.
+//! [`CODE_PANIC`]) and a `panics_quarantined` tick, not a dead worker.
 
 use crate::metrics::{Metrics, Route};
-use crate::resilience::{self, Deadline, FrameOutcome, ShutdownGate};
+use crate::resilience::{self, lock_unpoisoned, Deadline, FrameOutcome, ShutdownGate};
 use crate::wire::{self, ChaosRequest, Request, Response, SortRequest, SortResponse};
-use meshsort_core::{optimized_for, static_bound_for, AlgorithmId, Budget, Error, SortJob};
+use meshsort_core::{
+    optimized_for, schedule_for, static_bound_for, AlgorithmId, Budget, Error, SortJob,
+    LOCKSTEP_MAX_CELLS,
+};
 use meshsort_mesh::{FaultSpec, Grid};
+use meshsort_stats::parallel;
 use std::collections::HashSet;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -83,6 +99,11 @@ pub struct ServerConfig {
     /// with this id. Integration tests use it to prove panic quarantine
     /// on a live server; production leaves it `None`.
     pub fail_req_id: Option<u64>,
+    /// Deterministic hold point: while armed, every engine worker parks
+    /// on it before running its unit. Integration tests use it to keep
+    /// work inside the engine without sleeping; production leaves it
+    /// `None`.
+    pub engine_hold: Option<Arc<EngineHold>>,
 }
 
 impl Default for ServerConfig {
@@ -96,7 +117,58 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(10),
             idle_timeout: None,
             fail_req_id: None,
+            engine_hold: None,
         }
+    }
+}
+
+/// A gate engine workers park on until it is released (see
+/// [`ServerConfig::engine_hold`]). A fresh hold is armed.
+#[derive(Debug, Default)]
+pub struct EngineHold {
+    state: Mutex<HoldState>,
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct HoldState {
+    released: bool,
+    parked: usize,
+    max_parked: usize,
+}
+
+impl EngineHold {
+    /// Blocks until `workers` engine workers are parked at once.
+    pub fn wait_parked(&self, workers: usize) {
+        let state = lock_unpoisoned(&self.state);
+        let _state = self
+            .changed
+            .wait_while(state, |s| s.parked < workers)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+
+    /// Releases every parked worker; later units pass straight through.
+    pub fn release(&self) {
+        lock_unpoisoned(&self.state).released = true;
+        self.changed.notify_all();
+    }
+
+    /// The most workers that were ever parked at once.
+    pub fn max_parked(&self) -> usize {
+        lock_unpoisoned(&self.state).max_parked
+    }
+
+    fn park(&self) {
+        let mut state = lock_unpoisoned(&self.state);
+        if state.released {
+            return;
+        }
+        state.parked += 1;
+        state.max_parked = state.max_parked.max(state.parked);
+        self.changed.notify_all();
+        let mut state =
+            self.changed.wait_while(state, |s| !s.released).unwrap_or_else(PoisonError::into_inner);
+        state.parked -= 1;
     }
 }
 
@@ -105,6 +177,14 @@ struct SortWork {
     req_id: u64,
     deadline: Deadline,
     reply: SyncSender<Response>,
+}
+
+/// What the coalescer hands an engine worker: one job with its resolved
+/// plan, and the requests it runs, index-aligned with their grids.
+struct Unit {
+    job: SortJob,
+    works: Vec<SortWork>,
+    grids: Vec<Grid<u32>>,
 }
 
 struct ChaosWork {
@@ -156,9 +236,15 @@ impl ServerHandle {
 
         let batcher = {
             let metrics = Arc::clone(&metrics);
+            let engine = EngineConfig {
+                workers: parallel::default_threads(),
+                fail_req_id: config.fail_req_id,
+                hold: config.engine_hold.clone(),
+            };
+            // Set before the first STATS can be answered.
+            metrics.set_engine_workers(engine.workers);
             let max_batch = config.max_batch.max(1);
-            let fail_req_id = config.fail_req_id;
-            thread::spawn(move || batcher_loop(&sort_rx, &metrics, max_batch, fail_req_id))
+            thread::spawn(move || batcher_loop(&sort_rx, &metrics, max_batch, &engine))
         };
         let chaos_worker = {
             let metrics = Arc::clone(&metrics);
@@ -178,7 +264,8 @@ impl ServerHandle {
                 // The accept loop has exited and joined every handler.
                 // Dropping the original senders disconnects the queues,
                 // so each worker finishes whatever was already admitted
-                // and then its `recv` errors out.
+                // and then its `recv` errors out. The batcher joins its
+                // engine workers before it returns.
                 drop(queues);
                 let _ = batcher.join();
                 let _ = chaos_worker.join();
@@ -446,14 +533,46 @@ fn analyze(algorithm: AlgorithmId, side: usize) -> Response {
     }
 }
 
-/// One batcher pass: drain greedily, shed work already past its
-/// deadline, group the rest by plan compatibility, run each group
-/// through a single batched job.
+/// Engine-pool settings the batcher starts its workers with.
+struct EngineConfig {
+    workers: usize,
+    fail_req_id: Option<u64>,
+    hold: Option<Arc<EngineHold>>,
+}
+
+/// Runs the coalescer on this thread and the engine workers beside it;
+/// returns once the sort queue has closed and every worker has finished
+/// its last unit.
 fn batcher_loop(
     rx: &Receiver<SortWork>,
     metrics: &Arc<Metrics>,
     max_batch: usize,
-    fail_req_id: Option<u64>,
+    engine: &EngineConfig,
+) {
+    // Rendezvous: a send completes only when a worker takes the unit, so
+    // while every worker is busy the coalescer waits and the sort queue
+    // fills into bigger batches instead of a second, unbounded queue.
+    let (unit_tx, unit_rx) = mpsc::sync_channel::<Unit>(0);
+    let unit_rx = Mutex::new(unit_rx);
+    thread::scope(|scope| {
+        for _ in 0..engine.workers {
+            scope.spawn(|| engine_worker(&unit_rx, metrics, engine));
+        }
+        coalesce(rx, &unit_tx, metrics, max_batch);
+        // Closing the unit channel lets each worker finish its unit and
+        // exit; the scope joins them all.
+        drop(unit_tx);
+    });
+}
+
+/// One coalescer pass per wake-up: drain greedily, shed work already
+/// past its deadline, group the rest by plan compatibility, and hand
+/// each group on to the engine workers.
+fn coalesce(
+    rx: &Receiver<SortWork>,
+    units: &SyncSender<Unit>,
+    metrics: &Metrics,
+    max_batch: usize,
 ) {
     let mut warm: HashSet<(AlgorithmId, u16, bool)> = HashSet::new();
     while let Ok(first) = rx.recv() {
@@ -466,14 +585,7 @@ fn batcher_loop(
         }
         // Deadline admission: anything that expired while queued is shed
         // before it costs a single comparator evaluation.
-        works.retain(|work| {
-            if !work.deadline.expired() {
-                return true;
-            }
-            metrics.record_deadline_shed();
-            let _ = work.reply.send(deadline_error(&work.deadline));
-            false
-        });
+        shed_expired(&mut works, metrics);
         type GroupKey = (AlgorithmId, u16, bool, Budget);
         let mut groups: Vec<(GroupKey, Vec<SortWork>)> = Vec::new();
         for work in works {
@@ -484,18 +596,35 @@ fn batcher_loop(
             }
         }
         for ((algorithm, side, optimized, budget), group) in groups {
-            run_sort_group(
-                algorithm,
-                side,
-                optimized,
-                budget,
-                group,
-                &mut warm,
-                metrics,
-                fail_req_id,
-            );
+            let hit = !warm.insert((algorithm, side, optimized));
+            metrics.record_batch(group.len(), hit);
+            // The pool is the parallelism: each unit runs on one thread.
+            let job = SortJob::new(algorithm, usize::from(side))
+                .optimized(optimized)
+                .budget(budget)
+                .threads(1);
+            dispatch_group(job, group, units);
         }
     }
+}
+
+/// Answers every request whose deadline has passed with 504 and drops
+/// it from `works`; returns which positions survived.
+fn shed_expired(works: &mut Vec<SortWork>, metrics: &Metrics) -> Vec<bool> {
+    let kept: Vec<bool> = works
+        .iter()
+        .map(|work| {
+            let live = !work.deadline.expired();
+            if !live {
+                metrics.record_deadline_shed();
+                let _ = work.reply.send(deadline_error(&work.deadline));
+            }
+            live
+        })
+        .collect();
+    let mut keep = kept.iter();
+    works.retain(|_| *keep.next().expect("one flag per work"));
+    kept
 }
 
 fn deadline_error(deadline: &Deadline) -> Response {
@@ -506,27 +635,18 @@ fn deadline_error(deadline: &Deadline) -> Response {
     Response::Error { code: err.code(), message: err.to_string() }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_sort_group(
-    algorithm: AlgorithmId,
-    side: u16,
-    optimized: bool,
-    budget: Budget,
-    group: Vec<SortWork>,
-    warm: &mut HashSet<(AlgorithmId, u16, bool)>,
-    metrics: &Arc<Metrics>,
-    fail_req_id: Option<u64>,
-) {
-    let hit = !warm.insert((algorithm, side, optimized));
-    metrics.record_batch(group.len(), hit);
-
+/// Builds the group's grids, resolves its plan, and sends it to the
+/// engine workers as one unit, or as one unit per grid above
+/// [`LOCKSTEP_MAX_CELLS`] cells, where `run_batch` runs grids one at a
+/// time anyway.
+fn dispatch_group(job: SortJob, group: Vec<SortWork>, units: &SyncSender<Unit>) {
     let mut grids: Vec<Grid<u32>> = Vec::with_capacity(group.len());
-    let mut admitted: Vec<SortWork> = Vec::with_capacity(group.len());
+    let mut works: Vec<SortWork> = Vec::with_capacity(group.len());
     for mut work in group {
-        match Grid::from_rows(usize::from(side), std::mem::take(&mut work.req.cells)) {
+        match Grid::from_rows(job.side(), std::mem::take(&mut work.req.cells)) {
             Ok(grid) => {
                 grids.push(grid);
-                admitted.push(work);
+                works.push(work);
             }
             Err(e) => {
                 let err = Error::from(e);
@@ -535,25 +655,81 @@ fn run_sort_group(
             }
         }
     }
-    if admitted.is_empty() {
+    if works.is_empty() {
         return;
     }
+    // Resolve the plan here so that cold compilation, optimization and
+    // bound lifting run only on the coalescer: a worker that ran them
+    // would keep their peak in its own allocator arena.
+    if let Err(e) = resolve_plan(&job) {
+        reply_all(&works, &Response::Error { code: e.code(), message: e.to_string() });
+        return;
+    }
+    let send = |unit| units.send(unit).expect("the engine pool outlives the coalescer");
+    if job.side() * job.side() <= LOCKSTEP_MAX_CELLS {
+        send(Unit { job, works, grids });
+    } else {
+        for (work, grid) in works.into_iter().zip(grids) {
+            send(Unit { job: job.clone(), works: vec![work], grids: vec![grid] });
+        }
+    }
+}
 
-    let job = SortJob::new(algorithm, usize::from(side)).optimized(optimized).budget(budget);
+/// Fills the plan caches with everything `run_batch` will look up for
+/// `job`: the raw schedule or the optimized plan, and the step cap.
+fn resolve_plan(job: &SortJob) -> Result<(), Error> {
+    if !job.is_optimized() {
+        schedule_for(job.algorithm(), job.side())?;
+    }
+    job.resolved_budget().map(drop)
+}
+
+fn reply_all(works: &[SortWork], resp: &Response) {
+    for work in works {
+        let _ = work.reply.send(resp.clone());
+    }
+}
+
+/// An engine worker: takes units until the coalescer closes the channel.
+fn engine_worker(units: &Mutex<Receiver<Unit>>, metrics: &Metrics, engine: &EngineConfig) {
+    loop {
+        // The lock is held only while parked in `recv`, never while
+        // running a unit.
+        let next = lock_unpoisoned(units).recv();
+        let Ok(unit) = next else { return };
+        if let Some(hold) = &engine.hold {
+            hold.park();
+        }
+        run_unit(unit, metrics, engine.fail_req_id);
+    }
+}
+
+fn run_unit(mut unit: Unit, metrics: &Metrics, fail_req_id: Option<u64>) {
+    // A unit can wait at the hand-off for a whole engine run; shed what
+    // expired meanwhile.
+    let kept = shed_expired(&mut unit.works, metrics);
+    let mut kept = kept.iter();
+    unit.grids.retain(|_| *kept.next().expect("one flag per grid"));
+    let Unit { job, works, mut grids } = unit;
+    if works.is_empty() {
+        return;
+    }
     // Panic quarantine: a poison request must produce an error frame and
-    // a metric, not a dead batcher. The grids the closure half-updated
-    // are discarded with the batch on the panic path.
+    // a metric, not a dead worker. The grids the closure half-updated
+    // are discarded with the unit on the panic path.
+    let started = Instant::now();
     let outcome = resilience::quarantined(|| {
         if let Some(poison) = fail_req_id {
-            if admitted.iter().any(|work| work.req_id == poison) {
+            if works.iter().any(|work| work.req_id == poison) {
                 panic!("injected batcher fail point at req {poison}");
             }
         }
         job.run_batch(&mut grids)
     });
+    metrics.record_engine_busy(started.elapsed());
     match outcome {
         Ok(Ok(runs)) => {
-            for ((run, grid), work) in runs.iter().zip(&grids).zip(&admitted) {
+            for ((run, grid), work) in runs.iter().zip(&grids).zip(&works) {
                 let resp = Response::Sort(SortResponse {
                     convergence: wire::convergence_label(&run.convergence),
                     steps: run.steps,
@@ -567,10 +743,7 @@ fn run_sort_group(
             }
         }
         Ok(Err(e)) => {
-            let resp = Response::Error { code: e.code(), message: e.to_string() };
-            for work in &admitted {
-                let _ = work.reply.send(resp.clone());
-            }
+            reply_all(&works, &Response::Error { code: e.code(), message: e.to_string() });
         }
         Err(panic_msg) => {
             metrics.record_panic_quarantined();
@@ -578,9 +751,7 @@ fn run_sort_group(
                 code: CODE_PANIC,
                 message: format!("batch quarantined after engine panic: {panic_msg}"),
             };
-            for work in &admitted {
-                let _ = work.reply.send(resp.clone());
-            }
+            reply_all(&works, &resp);
         }
     }
 }

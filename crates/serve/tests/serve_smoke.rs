@@ -1,14 +1,22 @@
 //! In-process smoke tests for the full `meshsortd` service: real TCP
-//! sockets, real threads, the real batcher — only the process boundary
-//! is elided (the binary is the same `ServerHandle` plus flag parsing).
+//! sockets, real threads, the real batcher and engine workers — only the
+//! process boundary is elided (the binary is the same `ServerHandle`
+//! plus flag parsing).
+//!
+//! Tests that need work parked inside the engine use the server's
+//! `EngineHold` instead of sleeping, and size themselves by the worker
+//! count `STATS` reports, so they hold on one core as on many.
 
 use meshsort_core::{AlgorithmId, Budget};
 use meshsort_mesh::Grid;
-use meshsort_serve::server::{ServerConfig, ServerHandle};
+use meshsort_serve::server::{EngineHold, ServerConfig, ServerHandle};
 use meshsort_serve::wire::{self, ChaosRequest, Request, Response, SortRequest};
+use meshsort_stats::json::Value;
 use std::io::Write;
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn start(config: ServerConfig) -> ServerHandle {
     ServerHandle::bind("127.0.0.1:0", config).expect("bind on a free port")
@@ -25,6 +33,43 @@ fn call(stream: &mut TcpStream, req_id: u64, request: &Request) -> Response {
     let frame = wire::read_frame(stream).expect("read").expect("response frame");
     assert_eq!(frame.req_id, req_id, "responses echo the request id");
     wire::decode_response(&frame).expect("decode response")
+}
+
+/// Sends `request` on a fresh connection from another thread; the
+/// handle yields the response.
+fn call_in_background(addr: SocketAddr, req_id: u64, request: Request) -> JoinHandle<Response> {
+    std::thread::spawn(move || {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        call(&mut conn, req_id, &request)
+    })
+}
+
+/// The engine worker count the server reports in `STATS`.
+fn engine_workers(conn: &mut TcpStream) -> usize {
+    let Response::Stats { json } = call(conn, 0, &Request::Stats) else {
+        panic!("expected Stats");
+    };
+    let stats = Value::parse(&json).expect("STATS is JSON");
+    let workers = stats.get("engine").and_then(|e| e.get("workers")).and_then(Value::as_f64);
+    workers.expect("STATS reports engine.workers") as usize
+}
+
+/// A server whose engine workers park on a fresh (armed) hold.
+fn start_held() -> (ServerHandle, Arc<EngineHold>) {
+    let hold = Arc::new(EngineHold::default());
+    let handle = start(ServerConfig { engine_hold: Some(Arc::clone(&hold)), ..Default::default() });
+    (handle, hold)
+}
+
+/// Side 34 is above `LOCKSTEP_MAX_CELLS`, so each such request is its
+/// own engine unit even when the coalescer groups several.
+const PER_GRID_SIDE: usize = 34;
+
+fn assert_sorted(response: Response) {
+    match response {
+        Response::Sort(s) => assert_eq!(s.convergence, 0, "reversed grid must sort"),
+        other => panic!("expected Sort, got {other:?}"),
+    }
 }
 
 fn sort_request(algorithm: AlgorithmId, side: usize, echo: bool) -> Request {
@@ -289,31 +334,21 @@ fn stalled_client_is_disconnected_by_the_read_timeout() {
 
 #[test]
 fn expired_deadlines_are_shed_with_504() {
-    let handle = start(ServerConfig::default());
+    let (handle, hold) = start_held();
     let metrics = handle.metrics();
-
-    // Occupy the batcher with a big uncached sort, so anything arriving
-    // behind it waits longer than a 1 ms deadline allows.
-    let addr = handle.local_addr();
-    let slow = std::thread::spawn(move || {
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        let side = 128usize;
-        let request = Request::Sort(SortRequest {
-            algorithm: AlgorithmId::SnakeAlternating,
-            side: side as u16,
-            optimized: true,
-            echo_grid: false,
-            budget: Budget::Default,
-            deadline_ms: 0,
-            cells: (0..(side * side) as u32).rev().collect(),
-        });
-        wire::write_frame(&mut conn, &wire::encode_request(1, &request)).expect("send");
-        let frame = wire::read_frame(&mut conn).expect("read").expect("frame");
-        wire::decode_response(&frame).expect("decode")
-    });
-    std::thread::sleep(Duration::from_millis(100)); // let the slow sort start
-
     let mut conn = connect(&handle);
+    let workers = engine_workers(&mut conn);
+
+    // Park every engine worker, so anything arriving behind them waits
+    // longer than a 1 ms deadline allows.
+    let held: Vec<_> = (0..workers as u64)
+        .map(|i| {
+            let request = sort_request(AlgorithmId::SnakeAlternating, PER_GRID_SIDE, false);
+            call_in_background(handle.local_addr(), 10 + i, request)
+        })
+        .collect();
+    hold.wait_parked(workers);
+
     let hurried = Request::Sort(SortRequest {
         algorithm: AlgorithmId::SnakeAlternating,
         side: 4,
@@ -323,7 +358,22 @@ fn expired_deadlines_are_shed_with_504() {
         deadline_ms: 1,
         cells: (0..16u32).rev().collect(),
     });
-    match call(&mut conn, 2, &hurried) {
+    wire::write_frame(&mut conn, &wire::encode_request(2, &hurried)).expect("send");
+    // Admitted once the queue gauge counts it beside the parked ones, or
+    // once the coalescer has already shed it. Its deadline was stamped
+    // before either, so past `admitted + 1 ms` it has expired whichever
+    // of coalescer and worker looks at it.
+    while metrics.queue_depth() <= workers && metrics.deadline_shed() == 0 {
+        std::thread::yield_now();
+    }
+    let admitted = Instant::now();
+    while admitted.elapsed() <= Duration::from_millis(1) {
+        std::thread::yield_now();
+    }
+    hold.release();
+
+    let frame = wire::read_frame(&mut conn).expect("read").expect("frame");
+    match wire::decode_response(&frame).expect("decode") {
         Response::Error { code, message } => {
             assert_eq!(code, 504, "DeadlineExceeded discriminant: {message}");
             assert!(message.contains("deadline exceeded"), "{message}");
@@ -332,41 +382,93 @@ fn expired_deadlines_are_shed_with_504() {
     }
     assert_eq!(metrics.deadline_shed(), 1);
 
-    assert!(
-        matches!(slow.join().expect("slow sort"), Response::Sort(_)),
-        "the in-flight sort is unaffected by the shed behind it"
-    );
+    for sort in held {
+        assert_sorted(sort.join().expect("held sort"));
+    }
     handle.request_drain();
     handle.wait();
 }
 
 #[test]
 fn injected_engine_panic_is_quarantined_not_fatal() {
-    // fail_req_id is the server's deterministic fail point: the batch
-    // containing that req_id panics inside the engine call.
-    let handle = start(ServerConfig { fail_req_id: Some(7), ..Default::default() });
+    // Side 8 runs as one lockstep unit, side 34 as one unit per grid.
+    for side in [8, PER_GRID_SIDE] {
+        // fail_req_id is the server's deterministic fail point: the unit
+        // containing that req_id panics inside the engine call.
+        let handle = start(ServerConfig { fail_req_id: Some(7), ..Default::default() });
+        let metrics = handle.metrics();
+        let mut conn = connect(&handle);
+
+        match call(&mut conn, 7, &sort_request(AlgorithmId::RowMajorRowFirst, side, false)) {
+            Response::Error { code, message } => {
+                assert_eq!(code, 501, "panic quarantine code");
+                assert!(message.contains("quarantined"), "{message}");
+                assert!(message.contains("req 7"), "the payload survives: {message}");
+            }
+            other => panic!("side {side}: expected quarantine Error, got {other:?}"),
+        }
+        assert_eq!(metrics.panics_quarantined(), 1);
+
+        // The engine survived the panic: the very next sort on the same
+        // connection completes normally.
+        let next = sort_request(AlgorithmId::RowMajorRowFirst, side, false);
+        assert_sorted(call(&mut conn, 8, &next));
+
+        handle.request_drain();
+        handle.wait();
+    }
+}
+
+#[test]
+fn engine_workers_run_units_side_by_side() {
+    let (handle, hold) = start_held();
     let metrics = handle.metrics();
     let mut conn = connect(&handle);
+    let workers = engine_workers(&mut conn);
 
-    match call(&mut conn, 7, &sort_request(AlgorithmId::RowMajorRowFirst, 8, false)) {
-        Response::Error { code, message } => {
-            assert_eq!(code, 501, "panic quarantine code");
-            assert!(message.contains("quarantined"), "{message}");
-            assert!(message.contains("req 7"), "the payload survives: {message}");
-        }
-        other => panic!("expected quarantine Error, got {other:?}"),
+    let sorts: Vec<_> = (1..=2)
+        .map(|id| {
+            let request = sort_request(AlgorithmId::SnakeStaggeredCols, PER_GRID_SIDE, true);
+            call_in_background(handle.local_addr(), id, request)
+        })
+        .collect();
+    // Both units are parked inside the engine at once when there are two
+    // workers to hold them; one worker holds them one after the other.
+    let overlap = workers.min(2);
+    hold.wait_parked(overlap);
+    hold.release();
+    for sort in sorts {
+        assert_sorted(sort.join().expect("sort"));
     }
-    assert_eq!(metrics.panics_quarantined(), 1);
-
-    // The batcher thread survived the panic: the very next sort on the
-    // same connection completes normally.
-    match call(&mut conn, 8, &sort_request(AlgorithmId::RowMajorRowFirst, 8, false)) {
-        Response::Sort(s) => assert_eq!(s.convergence, 0, "batcher alive after quarantine"),
-        other => panic!("expected Sort after quarantine, got {other:?}"),
-    }
+    assert_eq!(hold.max_parked(), overlap, "{workers} workers");
+    assert!(metrics.engine_busy_us() > 0, "engine time lands in the metrics");
 
     handle.request_drain();
     handle.wait();
+}
+
+#[test]
+fn drain_answers_units_held_in_the_engine() {
+    let (handle, hold) = start_held();
+    let mut conn = connect(&handle);
+    let workers = engine_workers(&mut conn);
+
+    let held: Vec<_> = (0..workers as u64)
+        .map(|i| {
+            let request = sort_request(AlgorithmId::RowMajorColFirst, PER_GRID_SIDE, false);
+            call_in_background(handle.local_addr(), i, request)
+        })
+        .collect();
+    hold.wait_parked(workers);
+
+    // Drain begins with every worker mid-unit; each unit still finishes
+    // and answers, and `wait` returns once the workers are joined.
+    handle.request_drain();
+    hold.release();
+    handle.wait();
+    for sort in held {
+        assert_sorted(sort.join().expect("held sort"));
+    }
 }
 
 #[test]
