@@ -7,7 +7,7 @@
 use crate::fault::FaultPlan;
 use crate::grid::Grid;
 use crate::kernel::{CompiledPlan, KernelValue};
-use crate::plan::StepPlan;
+use crate::plan::{Comparator, StepPlan};
 use crate::sortedness::InversionTracker;
 use crate::trace::TraceSink;
 
@@ -133,22 +133,22 @@ pub struct FaultyStepOutcome {
     pub dropped: u64,
 }
 
-/// Applies one step under a fault plan: a stalled step does nothing, and
-/// suppressed comparators (stuck wires, transient drops) are skipped.
+/// Applies one step under a fault plan: suppressed comparators (stuck
+/// wires, transient drops) are skipped.
 ///
-/// With a no-op plan ([`FaultPlan::is_noop`]) this is behaviourally
-/// identical to [`apply_plan`]. Fault decisions are pure per-wire hashes,
-/// so the result is independent of comparator visit order — the property
-/// that keeps this path bit-identical to [`apply_compiled_faulty`].
+/// Stalls are a whole-step decision the caller makes
+/// ([`FaultPlan::step_stalled`]) before it calls any faulty step
+/// function; the step given here runs. With a no-op plan
+/// ([`FaultPlan::is_noop`]) this is behaviourally identical to
+/// [`apply_plan`]. Fault decisions are pure per-wire hashes, so the
+/// result is independent of comparator visit order — the property that
+/// keeps this path bit-identical to [`apply_compiled_faulty`].
 pub fn apply_plan_faulty<T: Ord>(
     grid: &mut Grid<T>,
     plan: &StepPlan,
     step: u64,
     faults: &FaultPlan,
 ) -> FaultyStepOutcome {
-    if faults.step_stalled(step) {
-        return FaultyStepOutcome::default();
-    }
     let data = grid.as_mut_slice();
     let mut swaps = 0u64;
     let mut dropped = 0u64;
@@ -175,9 +175,6 @@ pub fn apply_plan_faulty_tracked<T: Ord>(
     faults: &FaultPlan,
     tracker: &mut InversionTracker,
 ) -> FaultyStepOutcome {
-    if faults.step_stalled(step) {
-        return FaultyStepOutcome::default();
-    }
     let data = grid.as_mut_slice();
     let mut swaps = 0u64;
     let mut dropped = 0u64;
@@ -196,27 +193,49 @@ pub fn apply_plan_faulty_tracked<T: Ord>(
     FaultyStepOutcome { comparisons: plan.len() as u64 - dropped, swaps, dropped }
 }
 
-/// The kernel-engine counterpart of [`apply_plan_faulty`]: clean steps run
-/// through the branchless compiled segments, while steps with at least one
-/// suppression fall back to a filtered scalar loop over the source plan
-/// (compiled segments cannot skip individual comparators).
+/// The kernel-engine counterpart of [`apply_plan_faulty`]: one drop mask
+/// around the branchless compiled segments.
 ///
-/// `compiled` must be the lowering of `plan`. Because the comparators of
-/// one step are disjoint and commute, both paths yield the same grid and
-/// counts; the differential tests in `tests/fault_props.rs` pin this
-/// against [`apply_plan_faulty`].
+/// The step's drop set comes from [`FaultPlan::drop_mask`], 64 wires per
+/// word. The cells of every dropped comparator are saved into `held`, the
+/// whole compiled step runs, and the saved cells are put back, less the
+/// exchanges they would have made. The comparators of one step touch
+/// disjoint cells ([`StepPlan`] enforces this), so restoring a dropped
+/// pair cannot undo anything another comparator did: the result is
+/// exactly [`apply_plan_faulty`]'s grid and counts, which
+/// `tests/fault_props.rs` and the `meshsort-core` `fault_differential`
+/// suite pin.
+///
+/// `compiled` must be the lowering of `plan`, and the caller has already
+/// decided the step does not stall. `held` is scratch that a run reuses
+/// across steps; on return it lists the step's dropped comparators with
+/// their cell values from before the step.
 pub fn apply_compiled_faulty<T: KernelValue>(
     grid: &mut Grid<T>,
     compiled: &CompiledPlan,
     plan: &StepPlan,
     step: u64,
     faults: &FaultPlan,
+    held: &mut Vec<(Comparator, T, T)>,
 ) -> FaultyStepOutcome {
-    if faults.step_clean(step, plan) {
-        let swaps = compiled.execute(grid.as_mut_slice());
-        return FaultyStepOutcome { comparisons: compiled.comparisons(), swaps, dropped: 0 };
+    let data = grid.as_mut_slice();
+    held.clear();
+    for chunk in plan.comparators().chunks(64) {
+        let mut mask = faults.drop_mask(step, chunk);
+        while mask != 0 {
+            let c = chunk[mask.trailing_zeros() as usize];
+            mask &= mask - 1;
+            held.push((c, data[c.keep_min as usize], data[c.keep_max as usize]));
+        }
     }
-    apply_plan_faulty(grid, plan, step, faults)
+    let mut swaps = compiled.execute(data);
+    for &(c, at_min, at_max) in held.iter() {
+        swaps -= u64::from(at_min > at_max);
+        data[c.keep_min as usize] = at_min;
+        data[c.keep_max as usize] = at_max;
+    }
+    let dropped = held.len() as u64;
+    FaultyStepOutcome { comparisons: compiled.comparisons() - dropped, swaps, dropped }
 }
 
 /// Applies one pre-compiled step with the branchless segment kernels.
@@ -388,10 +407,80 @@ mod tests {
             let mut a = Grid::from_rows(3, vec![8u32, 1, 6, 3, 5, 7, 4, 9, 2]).unwrap();
             let mut b = a.clone();
             let oa = apply_plan_faulty(&mut a, &plan, step, &faults);
-            let ob = apply_compiled_faulty(&mut b, &compiled, &plan, step, &faults);
+            let ob =
+                apply_compiled_faulty(&mut b, &compiled, &plan, step, &faults, &mut Vec::new());
             assert_eq!(oa, ob, "step {step}");
             assert_eq!(a, b, "step {step}");
         }
+    }
+
+    /// A 12×12 step of 70 disjoint comparators — more than one 64-wire
+    /// drop-mask word — that compiles to a stride-2 pair run, a
+    /// two-window column run, a reversed pair run and a scatter tail.
+    fn mixed_segment_plan() -> StepPlan {
+        let mut pairs: Vec<(u32, u32)> = (0..48).map(|k| (2 * k, 2 * k + 1)).collect();
+        pairs.extend((96..108).map(|c| (c, c + 12)));
+        pairs.extend((0..6).map(|k| (121 + 2 * k, 120 + 2 * k)));
+        pairs.extend([(132, 143), (139, 134), (137, 138), (133, 140)]);
+        StepPlan::from_pairs(pairs).unwrap()
+    }
+
+    #[test]
+    fn masked_step_matches_scalar_faulty_step() {
+        use crate::fault::{FaultSpec, StuckWire};
+        let plan = mixed_segment_plan();
+        assert_eq!(plan.len(), 70);
+        let compiled = CompiledPlan::compile(&plan);
+        assert_eq!(compiled.run_segments(), 3, "the four irregular wires form the scatter tail");
+        let schedule = crate::schedule::CycleSchedule::new(vec![plan.clone()], 144).unwrap();
+        let mut stuck = FaultSpec::transient(3, 0.05);
+        stuck.stuck.push(StuckWire::permanent(137, 138));
+        stuck.stuck.push(StuckWire::window(96, 108, 4, 12));
+        let mut rng = crate::Rng::seed_from_u64(0xD20B);
+        let mut held = Vec::new();
+        for spec in [FaultSpec::transient(0xBEEF, 0.1), FaultSpec::transient(7, 0.5), stuck] {
+            let faults = FaultPlan::compile(&spec, &schedule).unwrap();
+            for step in 0..40u64 {
+                // Few distinct values, so ties and already-ordered pairs occur.
+                let data: Vec<u32> = (0..144).map(|_| rng.range(0..20) as u32).collect();
+                let mut a = Grid::from_rows(12, data.clone()).unwrap();
+                let mut b = a.clone();
+                let oa = apply_plan_faulty(&mut a, &plan, step, &faults);
+                let ob = apply_compiled_faulty(&mut b, &compiled, &plan, step, &faults, &mut held);
+                assert_eq!(oa, ob, "{spec:?} step {step}");
+                assert_eq!(a, b, "{spec:?} step {step}");
+                let dropped: Vec<Comparator> = plan
+                    .comparators()
+                    .iter()
+                    .copied()
+                    .filter(|&c| faults.comparator_dropped(step, c))
+                    .collect();
+                assert_eq!(held.iter().map(|h| h.0).collect::<Vec<_>>(), dropped);
+                for &(c, at_min, at_max) in &held {
+                    let (lo, hi) = (c.keep_min as usize, c.keep_max as usize);
+                    assert_eq!((b.as_slice()[lo], b.as_slice()[hi]), (data[lo], data[hi]));
+                    assert_eq!((at_min, at_max), (data[lo], data[hi]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masked_step_with_every_comparator_dropped_changes_nothing() {
+        use crate::fault::FaultSpec;
+        let plan = mixed_segment_plan();
+        let compiled = CompiledPlan::compile(&plan);
+        let schedule = crate::schedule::CycleSchedule::new(vec![plan.clone()], 144).unwrap();
+        let faults = FaultPlan::compile(&FaultSpec::transient(1, 1.0), &schedule).unwrap();
+        let mut g = Grid::from_rows(12, (0..144u32).rev().collect()).unwrap();
+        let before = g.clone();
+        let mut held = Vec::new();
+        let out = apply_compiled_faulty(&mut g, &compiled, &plan, 0, &faults, &mut held);
+        assert_eq!(out, FaultyStepOutcome { comparisons: 0, swaps: 0, dropped: 70 });
+        assert_eq!(g, before);
+        assert_eq!(held.len(), 70);
+        let mut c = before.clone();
+        assert_eq!(apply_plan_faulty(&mut c, &plan, 0, &faults), out);
     }
 
     #[test]

@@ -64,6 +64,13 @@ fn fault_hash(seed: u64, tag: u64, step: u64, payload: u64) -> u64 {
     mix(mix(h ^ step.wrapping_mul(0xA24B_AED4_963E_E407)) ^ payload)
 }
 
+/// The unordered cell pair of a comparator, smaller index first — the
+/// key every per-wire fault decision is made on.
+#[inline]
+fn canonical_wire(c: Comparator) -> (u32, u32) {
+    (c.keep_min.min(c.keep_max), c.keep_min.max(c.keep_max))
+}
+
 /// Converts a probability to a 65-bit fixed-point threshold such that
 /// `u128::from(hash) < threshold` fires with probability `rate` over a
 /// uniform 64-bit hash. Rate `1.0` maps to `2^64`, which every hash is
@@ -211,7 +218,7 @@ impl FaultPlan {
                 .plans()
                 .iter()
                 .flat_map(|p| p.comparators().iter())
-                .map(|c| (c.keep_min.min(c.keep_max), c.keep_min.max(c.keep_max)))
+                .map(|&c| canonical_wire(c))
                 .collect();
             wires.sort_unstable();
             wires.dedup();
@@ -257,10 +264,13 @@ impl FaultPlan {
     /// question — see [`FaultPlan::step_stalled`].
     #[inline]
     pub fn comparator_dropped(&self, step: u64, c: Comparator) -> bool {
-        let (lo, hi) = (c.keep_min.min(c.keep_max), c.keep_min.max(c.keep_max));
-        if self.stuck.iter().any(|w| w.covers(step, lo, hi)) {
-            return true;
-        }
+        let (lo, hi) = canonical_wire(c);
+        self.stuck.iter().any(|w| w.covers(step, lo, hi)) || self.hash_drops(step, lo, hi)
+    }
+
+    /// The transient-drop decision of wire `(lo, hi)` at `step`.
+    #[inline]
+    fn hash_drops(&self, step: u64, lo: u32, hi: u32) -> bool {
         self.drop_threshold != 0
             && u128::from(fault_hash(
                 self.seed,
@@ -270,15 +280,34 @@ impl FaultPlan {
             )) < self.drop_threshold
     }
 
-    /// `true` when no comparator of `plan` is suppressed at `step` and the
-    /// step does not stall — the faulty kernel path uses this to take the
-    /// compiled fast path for clean steps.
-    pub fn step_clean(&self, step: u64, plan: &StepPlan) -> bool {
-        if self.is_noop() {
-            return true;
+    /// [`FaultPlan::comparator_dropped`] for up to 64 comparators of one
+    /// step at once: bit `b` of the result is set iff `cs[b]` is
+    /// suppressed at `step`. Each wire's decision is its own hash, so no
+    /// decision waits on the previous one — the masked kernel step
+    /// ([`crate::engine::apply_compiled_faulty`]) builds its drop set
+    /// from these words.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cs` holds more than 64 comparators.
+    #[inline]
+    pub fn drop_mask(&self, step: u64, cs: &[Comparator]) -> u64 {
+        assert!(cs.len() <= 64, "a drop mask covers at most 64 comparators");
+        let mut mask = 0u64;
+        if self.drop_threshold != 0 {
+            for &c in cs.iter().rev() {
+                let (lo, hi) = canonical_wire(c);
+                mask = mask << 1 | u64::from(self.hash_drops(step, lo, hi));
+            }
         }
-        !self.step_stalled(step)
-            && !plan.comparators().iter().any(|&c| self.comparator_dropped(step, c))
+        for w in &self.stuck {
+            if w.from_step <= step && step < w.until_step {
+                for (b, &c) in cs.iter().enumerate() {
+                    mask |= u64::from(canonical_wire(c) == (w.cell_lo, w.cell_hi)) << b;
+                }
+            }
+        }
+        mask
     }
 
     /// The fault events of one step against `plan`, in canonical
@@ -537,7 +566,7 @@ mod tests {
         assert_eq!(FaultPlan::compile(&FaultSpec::none(0), &s).unwrap(), FaultPlan::none());
         assert!(plan.trace(&s, 1000).is_empty());
         for t in 0..100 {
-            assert!(plan.step_clean(t, s.plan_at(t)));
+            assert_eq!(plan.drop_mask(t, s.plan_at(t).comparators()), 0);
             assert!(!plan.step_stalled(t));
         }
     }
@@ -549,6 +578,23 @@ mod tests {
         for t in 0..16 {
             for &c in s.plan_at(t).comparators() {
                 assert!(plan.comparator_dropped(t, c));
+            }
+        }
+    }
+
+    #[test]
+    fn drop_mask_matches_per_comparator_decisions() {
+        let s = line_schedule(130);
+        let mut spec = FaultSpec::transient(0x5EED, 0.3);
+        spec.random_stuck = 3;
+        spec.stuck.push(StuckWire::window(2, 3, 5, 9));
+        let plan = FaultPlan::compile(&spec, &s).unwrap();
+        for t in 0..16 {
+            for chunk in s.plan_at(t).comparators().chunks(64) {
+                let mask = plan.drop_mask(t, chunk);
+                for (b, &c) in chunk.iter().enumerate() {
+                    assert_eq!((mask >> b) & 1 == 1, plan.comparator_dropped(t, c), "t={t} {c:?}");
+                }
             }
         }
     }

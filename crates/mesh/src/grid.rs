@@ -266,6 +266,34 @@ impl<T: Ord> Grid<T> {
         let seq = self.read_in_order(order);
         seq.windows(2).filter(|w| w[0] > w[1]).count()
     }
+
+    /// [`Grid::order_inversions`] counted over the backing storage
+    /// contiguously, like [`Grid::first_order_inversion_fast`] scans it:
+    /// a `windows(2)` count per row in its reading direction plus the
+    /// snake's row-boundary pairs. The resilient kernel runner's watchdog
+    /// reads it once per cycle. Same count on every input.
+    pub fn order_inversions_fast(&self, order: TargetOrder) -> usize {
+        let side = self.side;
+        let data = &self.data;
+        match order {
+            TargetOrder::RowMajor => data.windows(2).filter(|w| w[0] > w[1]).count(),
+            TargetOrder::Snake => {
+                let mut count = 0;
+                for (r, row) in data.chunks_exact(side).enumerate() {
+                    count += if r % 2 == 0 {
+                        row.windows(2).filter(|w| w[0] > w[1]).count()
+                    } else {
+                        row.windows(2).filter(|w| w[0] < w[1]).count()
+                    };
+                    if r > 0 {
+                        let col = bend_col(r - 1, side);
+                        count += usize::from(data[(r - 1) * side + col] > row[col]);
+                    }
+                }
+                count
+            }
+        }
+    }
 }
 
 impl<T: Ord + Clone> Grid<T> {
@@ -441,6 +469,29 @@ mod tests {
                 assert_eq!(sorted.first_order_inversion_fast(order), None);
                 let rev = Grid::from_rows(side, (0..n as u32).rev().collect()).unwrap();
                 assert_eq!(rev.first_order_inversion_fast(order), rev.first_order_inversion(order));
+            }
+        }
+    }
+
+    #[test]
+    fn fast_inversion_count_matches_generic_count() {
+        let mut rng = crate::Rng::seed_from_u64(0xC0FF_EE11);
+        for side in [1usize, 2, 3, 4, 5, 8, 9] {
+            let n = side * side;
+            for order in [TargetOrder::RowMajor, TargetOrder::Snake] {
+                for _ in 0..50 {
+                    let data: Vec<u32> = (0..n).map(|_| rng.range(0..7) as u32).collect();
+                    let g = Grid::from_rows(side, data).unwrap();
+                    assert_eq!(
+                        g.order_inversions_fast(order),
+                        g.order_inversions(order),
+                        "side {side} {order:?}\n{}",
+                        g.render()
+                    );
+                }
+                assert_eq!(sorted_permutation_grid(side, order).order_inversions_fast(order), 0);
+                let rev = Grid::from_rows(side, (0..n as u32).rev().collect()).unwrap();
+                assert_eq!(rev.order_inversions_fast(order), rev.order_inversions(order));
             }
         }
     }

@@ -269,21 +269,16 @@ impl CycleSchedule {
                     out.sorted = true;
                     return out;
                 }
-            } else if !grid.order_pair_inverted(order, witness) {
-                match grid.find_order_inversion_from(order, witness) {
-                    Some(w) => witness = w,
-                    None => match grid.first_order_inversion_fast(order) {
-                        None => {
-                            out.sorted = true;
-                            return out;
-                        }
-                        Some(d) => {
-                            witness = d;
-                            if d >= switch_depth {
-                                tracker = Some(InversionTracker::new(grid, order));
-                            }
-                        }
-                    },
+            } else {
+                match refresh_witness(grid, order, &mut witness) {
+                    Probe::Sorted => {
+                        out.sorted = true;
+                        return out;
+                    }
+                    Probe::Rescanned if witness >= switch_depth => {
+                        tracker = Some(InversionTracker::new(grid, order));
+                    }
+                    Probe::Held | Probe::Rescanned => {}
                 }
             }
         }
@@ -353,8 +348,8 @@ impl CycleSchedule {
 
     /// Drives the grid toward `order` under a [`FaultPlan`], scalar
     /// comparator loop. Termination is unconditional: the main loop is
-    /// bounded by `policy.step_budget`, an [`InversionTracker`]-fed
-    /// watchdog aborts livelocks (no new inversion minimum for
+    /// bounded by `policy.step_budget`, a watchdog aborts livelocks (no
+    /// new adjacent-inversion minimum at a cycle boundary for
     /// `policy.stall_window` steps), and recovery scrubbing — bounded
     /// extra *fault-free* cycles, granted `policy.recovery_attempts` times
     /// with the cycle allowance doubling per attempt — may still finish
@@ -363,8 +358,11 @@ impl CycleSchedule {
     /// [`fault::RunOutcome`] plus full step/swap/drop/stall/recovery
     /// accounting.
     ///
-    /// With a no-op plan the outcome's step/swap/comparison counts are
-    /// identical to [`CycleSchedule::run_until_sorted`] (pinned by
+    /// This is the oracle of the kernel path: every exchange goes through
+    /// [`apply_plan_faulty_tracked`], so an [`InversionTracker`] is exact
+    /// after every step. With a no-op plan the outcome's
+    /// step/swap/comparison counts are identical to
+    /// [`CycleSchedule::run_until_sorted`] (pinned by
     /// `tests/fault_props.rs`).
     pub fn run_until_sorted_resilient<T: Ord + Clone + std::hash::Hash>(
         &self,
@@ -377,6 +375,7 @@ impl CycleSchedule {
             grid,
             order,
             policy,
+            InversionTracker::new(grid, order),
             |g, i, t, tr| apply_plan_faulty_tracked(g, &self.plans[i], t, faults, tr),
             |g, cap| self.run_until_sorted(g, order, cap),
             faults,
@@ -384,10 +383,14 @@ impl CycleSchedule {
     }
 
     /// [`CycleSchedule::run_until_sorted_resilient`] through the compiled
-    /// kernels: clean steps execute branchlessly, faulty steps fall back
-    /// to the filtered scalar loop. Bit-identical report and final grid —
-    /// fault decisions are order-independent per-wire hashes and the
-    /// tracker is recounted exactly, so the two paths cannot diverge.
+    /// kernels: every non-stalled step is one masked branchless step
+    /// ([`apply_compiled_faulty`]). Sortedness after a step is the
+    /// inverted-pair witness probe of [`CycleSchedule::run_until_sorted`];
+    /// the exact inversion count is taken only where the watchdog reads
+    /// it, once per cycle. Bit-identical report and final grid — fault
+    /// decisions are order-independent per-wire hashes, the masked step
+    /// equals the scalar faulty step, and the watchdog reads the same
+    /// exact count.
     pub fn run_until_sorted_resilient_kernel<T: KernelValue + std::hash::Hash>(
         &self,
         grid: &mut Grid<T>,
@@ -395,40 +398,36 @@ impl CycleSchedule {
         faults: &FaultPlan,
         policy: &ResilientPolicy,
     ) -> ResilientReport {
+        let mut held = Vec::new();
         self.run_resilient_impl(
             grid,
             order,
             policy,
-            |g, i, t, tr| {
-                let out = apply_compiled_faulty(g, &self.compiled[i], &self.plans[i], t, faults);
-                if out.swaps > 0 {
-                    tr.recount(g.as_slice());
-                }
-                out
+            WitnessProgress { order, witness: grid.first_order_inversion_fast(order) },
+            |g, i, t, _| {
+                apply_compiled_faulty(g, &self.compiled[i], &self.plans[i], t, faults, &mut held)
             },
             |g, cap| self.run_until_sorted_kernel(g, order, cap),
             faults,
         )
     }
 
-    /// Shared resilient driver. `faulty_step` executes one step under the
-    /// fault plan keeping `tracker` exact; `scrub` runs the fault-free
-    /// engine up to a step cap (recovery scrubbing: the fault burst is
-    /// over, so repair passes run clean). Both callbacks must be exact
-    /// about counts — the scalar and kernel wrappers differ only in *how*
-    /// they keep the tracker exact (O(1) per swap vs recount), never in
-    /// its value.
-    fn run_resilient_impl<T: Ord + Clone + std::hash::Hash>(
+    /// Shared resilient driver. The stall decision is made here, once
+    /// per step; `faulty_step` executes a step that does not stall, and
+    /// `progress` answers whether the grid is sorted (after every step)
+    /// and its exact adjacent-inversion count (at the watchdog's cycle
+    /// boundaries). `scrub` runs the fault-free engine up to a step cap
+    /// (recovery scrubbing: the fault burst is over, so repair passes run
+    /// clean). The scalar and kernel wrappers differ only in *how* they
+    /// step and observe, never in a count they report.
+    #[allow(clippy::too_many_arguments)]
+    fn run_resilient_impl<T: Ord + Clone + std::hash::Hash, P: Progress<T>>(
         &self,
         grid: &mut Grid<T>,
         order: TargetOrder,
         policy: &ResilientPolicy,
-        mut faulty_step: impl FnMut(
-            &mut Grid<T>,
-            usize,
-            u64,
-            &mut InversionTracker,
-        ) -> FaultyStepOutcome,
+        mut progress: P,
+        mut faulty_step: impl FnMut(&mut Grid<T>, usize, u64, &mut P) -> FaultyStepOutcome,
         mut scrub: impl FnMut(&mut Grid<T>, u64) -> RunOutcome,
         faults: &FaultPlan,
     ) -> ResilientReport {
@@ -443,12 +442,12 @@ impl CycleSchedule {
             recovery_attempts: 0,
             recovery_steps: 0,
         };
-        let mut tracker = InversionTracker::new(grid, order);
         let cycle = self.plans.len() as u64;
-        let mut best = tracker.inversions();
-        let mut last_progress = 0u64;
+        let mut sorted = progress.sorted(grid);
         let mut livelocked = false;
-        if !tracker.is_sorted() {
+        if !sorted {
+            let mut best = progress.inversions(grid);
+            let mut last_progress = 0u64;
             let mut indices = self.cycle_indices(0);
             while rep.steps < policy.step_budget {
                 let i = indices.next().expect("cycle iterator never ends");
@@ -456,20 +455,21 @@ impl CycleSchedule {
                 if faults.step_stalled(t) {
                     rep.stalled_steps += 1;
                 } else {
-                    let out = faulty_step(grid, i, t, &mut tracker);
+                    let out = faulty_step(grid, i, t, &mut progress);
                     rep.swaps += out.swaps;
                     rep.comparisons += out.comparisons;
                     rep.dropped += out.dropped;
                 }
                 rep.steps += 1;
-                if tracker.is_sorted() {
+                if progress.sorted(grid) {
+                    sorted = true;
                     break;
                 }
                 // Watchdog at cycle boundaries: progress means a new
                 // adjacent-inversion minimum; a full stall window without
                 // one is a livelock (e.g. every useful wire stuck).
                 if rep.steps % cycle == 0 {
-                    let inv = tracker.inversions();
+                    let inv = progress.inversions(grid);
                     if inv < best {
                         best = inv;
                         last_progress = rep.steps;
@@ -480,7 +480,7 @@ impl CycleSchedule {
                 }
             }
         }
-        if !tracker.is_sorted() && policy.recovery_attempts > 0 && policy.recovery_cycles > 0 {
+        if !sorted && policy.recovery_attempts > 0 && policy.recovery_cycles > 0 {
             let mut cycles = policy.recovery_cycles;
             for _ in 0..policy.recovery_attempts {
                 rep.recovery_attempts += 1;
@@ -488,13 +488,13 @@ impl CycleSchedule {
                 rep.recovery_steps += out.steps;
                 rep.swaps += out.swaps;
                 rep.comparisons += out.comparisons;
-                if out.sorted {
+                sorted = out.sorted;
+                if sorted {
                     break;
                 }
                 // Backoff: double the scrub allowance per attempt.
                 cycles = cycles.saturating_mul(2);
             }
-            tracker.recount(grid.as_slice());
         }
         let checksum_after = metrics::multiset_checksum(grid.as_slice());
         rep.outcome = if checksum_after != checksum_before {
@@ -502,7 +502,7 @@ impl CycleSchedule {
                 expected: checksum_before,
                 actual: checksum_after,
             }
-        } else if tracker.is_sorted() {
+        } else if sorted {
             fault::RunOutcome::Converged { steps: rep.total_steps() }
         } else if livelocked {
             fault::RunOutcome::Degraded {
@@ -535,6 +535,88 @@ impl CycleSchedule {
             }
         }
         None
+    }
+}
+
+/// What [`refresh_witness`] found after a step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// Unsorted: the witness still holds, or a local scan replaced it.
+    Held,
+    /// Unsorted, but only a full rescan found the new witness, which
+    /// is therefore the first inversion's depth.
+    Rescanned,
+    /// No adjacent rank pair is inverted.
+    Sorted,
+}
+
+/// The witness check of the hybrid scheme (see the module docs): probe
+/// the inverted pair `witness`; if a step fixed it, scan on from it
+/// ([`Grid::find_order_inversion_from`]: any inversion is valid evidence,
+/// not just the first), and only when that suffix is clean rescan the
+/// whole grid ([`Grid::first_order_inversion_fast`]). Updates `witness`
+/// unless the grid is sorted.
+fn refresh_witness<T: Ord>(grid: &Grid<T>, order: TargetOrder, witness: &mut usize) -> Probe {
+    if grid.order_pair_inverted(order, *witness) {
+        return Probe::Held;
+    }
+    if let Some(w) = grid.find_order_inversion_from(order, *witness) {
+        *witness = w;
+        return Probe::Held;
+    }
+    match grid.first_order_inversion_fast(order) {
+        Some(depth) => {
+            *witness = depth;
+            Probe::Rescanned
+        }
+        None => Probe::Sorted,
+    }
+}
+
+/// How the resilient driver reads the grid's progress.
+trait Progress<T> {
+    /// Whether the grid reads sorted. The driver calls this before the
+    /// first step and after every step, stalled or not, and stops at the
+    /// first `true`.
+    fn sorted(&mut self, grid: &Grid<T>) -> bool;
+
+    /// The exact number of adjacent-rank inversions: what the livelock
+    /// watchdog compares, once per cycle.
+    fn inversions(&mut self, grid: &Grid<T>) -> u64;
+}
+
+/// The scalar oracle's progress: the faulty step keeps the tracker exact
+/// through every exchange, so both answers are O(1).
+impl<T: Ord> Progress<T> for InversionTracker {
+    fn sorted(&mut self, _: &Grid<T>) -> bool {
+        self.is_sorted()
+    }
+
+    fn inversions(&mut self, _: &Grid<T>) -> u64 {
+        InversionTracker::inversions(self)
+    }
+}
+
+/// The kernel path's progress: an inverted-pair witness (`None` once the
+/// grid reads sorted) probed after every step, and a contiguous exact
+/// count ([`Grid::order_inversions_fast`]) only when the watchdog asks.
+struct WitnessProgress {
+    order: TargetOrder,
+    witness: Option<usize>,
+}
+
+impl<T: Ord> Progress<T> for WitnessProgress {
+    fn sorted(&mut self, grid: &Grid<T>) -> bool {
+        if let Some(w) = self.witness.as_mut() {
+            if refresh_witness(grid, self.order, w) == Probe::Sorted {
+                self.witness = None;
+            }
+        }
+        self.witness.is_none()
+    }
+
+    fn inversions(&mut self, grid: &Grid<T>) -> u64 {
+        grid.order_inversions_fast(self.order) as u64
     }
 }
 

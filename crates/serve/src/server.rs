@@ -100,9 +100,9 @@ pub struct ServerConfig {
     /// on a live server; production leaves it `None`.
     pub fail_req_id: Option<u64>,
     /// Deterministic hold point: while armed, every engine worker parks
-    /// on it before running its unit. Integration tests use it to keep
-    /// work inside the engine without sleeping; production leaves it
-    /// `None`.
+    /// on it before running its unit, and the chaos worker before running
+    /// its request. Integration tests use it to keep work inside the
+    /// engine without sleeping; production leaves it `None`.
     pub engine_hold: Option<Arc<EngineHold>>,
 }
 
@@ -122,8 +122,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// A gate engine workers park on until it is released (see
-/// [`ServerConfig::engine_hold`]). A fresh hold is armed.
+/// A gate the engine and chaos workers park on until it is released
+/// (see [`ServerConfig::engine_hold`]). A fresh hold is armed.
 #[derive(Debug, Default)]
 pub struct EngineHold {
     state: Mutex<HoldState>,
@@ -248,7 +248,8 @@ impl ServerHandle {
         };
         let chaos_worker = {
             let metrics = Arc::clone(&metrics);
-            thread::spawn(move || chaos_loop(&chaos_rx, &metrics))
+            let hold = config.engine_hold.clone();
+            thread::spawn(move || chaos_loop(&chaos_rx, &metrics, hold.as_deref()))
         };
         let logger = config.log_interval.map(|interval| {
             let metrics = Arc::clone(&metrics);
@@ -756,12 +757,15 @@ fn run_unit(mut unit: Unit, metrics: &Metrics, fail_req_id: Option<u64>) {
     }
 }
 
-fn chaos_loop(rx: &Receiver<ChaosWork>, metrics: &Arc<Metrics>) {
+fn chaos_loop(rx: &Receiver<ChaosWork>, metrics: &Arc<Metrics>, hold: Option<&EngineHold>) {
     while let Ok(work) = rx.recv() {
         if work.deadline.expired() {
             metrics.record_deadline_shed();
             let _ = work.reply.send(deadline_error(&work.deadline));
             continue;
+        }
+        if let Some(hold) = hold {
+            hold.park();
         }
         let resp = resilience::quarantined(|| run_chaos(&work.req)).unwrap_or_else(|panic_msg| {
             metrics.record_panic_quarantined();

@@ -3,8 +3,8 @@
 //! process boundary is elided (the binary is the same `ServerHandle`
 //! plus flag parsing).
 //!
-//! Tests that need work parked inside the engine use the server's
-//! `EngineHold` instead of sleeping, and size themselves by the worker
+//! Tests that need work parked inside the engine or the chaos worker use
+//! the server's `EngineHold` instead of sleeping, and size themselves by the worker
 //! count `STATS` reports, so they hold on one core as on many.
 
 use meshsort_core::{AlgorithmId, Budget};
@@ -248,28 +248,30 @@ fn malformed_frames_get_error_responses_and_are_counted() {
 #[test]
 fn full_chaos_queue_rejects_with_503() {
     // A rendezvous chaos queue (capacity 0) admits work only while the
-    // worker is parked in recv. Occupy the worker with a slow resilient
-    // run, then a second request must bounce with QueueFull.
-    let handle = start(ServerConfig { chaos_capacity: 0, ..Default::default() });
-    // Side 160 reversed + 10% drops: schedule compilation plus an O(N²)
-    // resilient run keeps the worker busy well past the admission sleep
-    // below, even on a fast idle core.
-    let slow = Request::Chaos(ChaosRequest {
+    // worker is parked in recv. Park the worker on the engine hold with a
+    // first request, then a second request must bounce with QueueFull.
+    let hold = Arc::new(EngineHold::default());
+    let handle = start(ServerConfig {
+        chaos_capacity: 0,
+        engine_hold: Some(Arc::clone(&hold)),
+        ..Default::default()
+    });
+    let held = Request::Chaos(ChaosRequest {
         algorithm: AlgorithmId::SnakeAlternating,
-        side: 160,
+        side: 16,
         seed: 7,
         drop_rate_ppm: 100_000,
         deadline_ms: 0,
-        cells: (0..(160 * 160) as u32).rev().collect(),
+        cells: (0..(16 * 16) as u32).rev().collect(),
     });
     let handle_addr = handle.local_addr();
-    let slow_conn = std::thread::spawn(move || {
+    let held_conn = std::thread::spawn(move || {
         let mut conn = TcpStream::connect(handle_addr).expect("connect");
-        wire::write_frame(&mut conn, &wire::encode_request(1, &slow)).expect("send");
+        wire::write_frame(&mut conn, &wire::encode_request(1, &held)).expect("send");
         let frame = wire::read_frame(&mut conn).expect("read").expect("frame");
         wire::decode_response(&frame).expect("decode")
     });
-    std::thread::sleep(Duration::from_millis(100)); // let the slow run start
+    hold.wait_parked(1); // the worker took the first request and holds it
 
     let mut conn = connect(&handle);
     let quick = Request::Chaos(ChaosRequest {
@@ -287,9 +289,10 @@ fn full_chaos_queue_rejects_with_503() {
         other => panic!("expected QueueFull, got {other:?}"),
     }
 
+    hold.release();
     assert!(
-        matches!(slow_conn.join().expect("slow worker"), Response::Chaos(_)),
-        "the admitted slow run still completes"
+        matches!(held_conn.join().expect("held client"), Response::Chaos(_)),
+        "the held run still completes"
     );
     handle.request_drain();
     handle.wait();
