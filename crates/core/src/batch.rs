@@ -26,7 +26,7 @@ use std::hash::Hash;
 /// (measured side-8 throughput is within noise of the serial optimum at
 /// 512 lanes and gains < 10% beyond it; see `BENCH_meshsort.json`), and
 /// small enough that a side-16 shard's structure-of-arrays buffer
-/// (512 KiB) stays near L2.
+/// (128 KiB: one `u8` rank per cell and lane) stays in L2.
 ///
 /// Threads take whole shards, so a batch of at most this many grids is
 /// one shard and runs on one thread whatever the thread count: a

@@ -34,9 +34,10 @@ use crate::cache;
 use crate::error::Error;
 use crate::runner::{default_step_cap, resilient_policy_for, static_step_bound, RunStats};
 use meshsort_mesh::fault::derive_seed;
+use meshsort_mesh::schedule::RunOutcome as ScheduleOutcome;
 use meshsort_mesh::{
-    batch as mesh_batch, CycleSchedule, FaultPlan, FaultSpec, Grid, KernelValue, OptimizedPlan,
-    ResilientPolicy, ResilientReport,
+    batch as mesh_batch, CycleSchedule, FaultPlan, FaultSpec, Grid, KernelValue, MeshError,
+    OptimizedPlan, ResilientPolicy, ResilientReport, TargetOrder,
 };
 use meshsort_stats::parallel;
 use std::hash::Hash;
@@ -356,7 +357,7 @@ impl SortJob {
             }
             Engine::Batch => {
                 let lane = std::slice::from_mut(grid);
-                let mut outcomes = mesh_batch::run_batch_until_sorted(schedule, lane, order, cap)?;
+                let mut outcomes = run_batch_engine(schedule, lane, order, cap, self.side)?;
                 outcomes.pop().expect("one lane in, one outcome out").into()
             }
         };
@@ -379,8 +380,6 @@ impl SortJob {
     /// As for [`SortJob::run`], plus [`MeshError::MixedBatchSides`] when
     /// the grids do not all share the job's side and
     /// [`Error::InvalidJob`] for a zero shard width.
-    ///
-    /// [`MeshError::MixedBatchSides`]: meshsort_mesh::MeshError::MixedBatchSides
     pub fn run_batch<T: KernelValue + Hash + Send>(
         &self,
         grids: &mut [Grid<T>],
@@ -390,7 +389,7 @@ impl SortJob {
         };
         self.check_side(first)?;
         if let Some(odd) = grids.iter().find(|g| g.side() != self.side) {
-            return Err(Error::Mesh(meshsort_mesh::MeshError::MixedBatchSides {
+            return Err(Error::Mesh(MeshError::MixedBatchSides {
                 expected: self.side,
                 found: odd.side(),
             }));
@@ -430,7 +429,7 @@ impl SortJob {
         }
 
         let engine = self.engine;
-        let lockstep = self.side * self.side <= LOCKSTEP_MAX_CELLS;
+        let side = self.side;
         let shards = parallel::map_chunks(grids, shard_width, threads, |_, shard| match engine {
             Engine::Scalar => Ok(shard
                 .iter_mut()
@@ -440,16 +439,7 @@ impl SortJob {
                 .iter_mut()
                 .map(|g| schedule.run_until_sorted_kernel(g, order, cap))
                 .collect::<Vec<_>>()),
-            Engine::Auto | Engine::Batch => {
-                if lockstep {
-                    mesh_batch::run_batch_until_sorted(schedule, shard, order, cap)
-                } else {
-                    Ok(shard
-                        .iter_mut()
-                        .map(|g| schedule.run_until_sorted_kernel(g, order, cap))
-                        .collect::<Vec<_>>())
-                }
-            }
+            Engine::Auto | Engine::Batch => run_batch_engine(schedule, shard, order, cap, side),
         });
         let mut stats = Vec::with_capacity(grids.len());
         for shard in shards {
@@ -460,6 +450,22 @@ impl SortJob {
             .zip(grids.iter())
             .map(|(s, g)| outcome_from_stats(self.algorithm, self.side, s, g, cap))
             .collect())
+    }
+}
+
+/// The batch engine on one shard of side-`side` grids: SoA lockstep up to
+/// [`LOCKSTEP_MAX_CELLS`] cells, the per-grid kernel engine above.
+fn run_batch_engine<T: KernelValue>(
+    schedule: &CycleSchedule,
+    grids: &mut [Grid<T>],
+    order: TargetOrder,
+    cap: u64,
+    side: usize,
+) -> Result<Vec<ScheduleOutcome>, MeshError> {
+    if side * side <= LOCKSTEP_MAX_CELLS {
+        mesh_batch::run_batch_until_sorted(schedule, grids, order, cap)
+    } else {
+        Ok(grids.iter_mut().map(|g| schedule.run_until_sorted_kernel(g, order, cap)).collect())
     }
 }
 
@@ -524,7 +530,6 @@ fn outcome_from_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meshsort_mesh::MeshError;
 
     fn reversed(side: usize) -> Grid<u32> {
         Grid::from_rows(side, (0..(side * side) as u32).rev().collect()).unwrap()
@@ -545,19 +550,23 @@ mod tests {
 
     #[test]
     fn engines_agree_bit_for_bit() {
-        for a in AlgorithmId::ALL {
-            let mut grids = [reversed(8), reversed(8), reversed(8), reversed(8)];
-            let runs: Vec<RunOutcome> =
-                [Engine::Auto, Engine::Scalar, Engine::Kernel, Engine::Batch]
-                    .iter()
-                    .zip(grids.iter_mut())
-                    .map(|(e, g)| SortJob::new(a, 8).engine(*e).run(g).unwrap())
-                    .collect();
-            for run in &runs[1..] {
-                assert_eq!(run, &runs[0], "{a}");
-            }
-            for g in &grids[1..] {
-                assert_eq!(g, &grids[0], "{a}");
+        // Side 34 is above LOCKSTEP_MAX_CELLS: `Engine::Batch` takes the
+        // per-grid kernel fallback there.
+        for side in [8, 34] {
+            for a in AlgorithmId::ALL {
+                let mut grids = [reversed(side), reversed(side), reversed(side), reversed(side)];
+                let runs: Vec<RunOutcome> =
+                    [Engine::Auto, Engine::Scalar, Engine::Kernel, Engine::Batch]
+                        .iter()
+                        .zip(grids.iter_mut())
+                        .map(|(e, g)| SortJob::new(a, side).engine(*e).run(g).unwrap())
+                        .collect();
+                for run in &runs[1..] {
+                    assert_eq!(run, &runs[0], "{a} side {side}");
+                }
+                for g in &grids[1..] {
+                    assert_eq!(g, &grids[0], "{a} side {side}");
+                }
             }
         }
     }
@@ -617,7 +626,7 @@ mod tests {
             .run(&mut g)
             .unwrap();
         assert!(run.sorted(), "{:?}", run.convergence);
-        assert!(g.is_sorted(meshsort_mesh::TargetOrder::Snake));
+        assert!(g.is_sorted(TargetOrder::Snake));
         let faults = run.faults.expect("fault stats present");
         assert!(faults.dropped > 0, "transient faults must drop comparators");
         assert_eq!(run.budget, resilient_policy_for(AlgorithmId::SnakeAlternating, 8).step_budget);

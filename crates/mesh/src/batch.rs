@@ -13,13 +13,29 @@
 //!
 //! [`run_batch_until_sorted`] transposes a batch of `B` grids of `N` cells
 //! from grid-major (`B` separate `Vec`s) to **cell-major lanes**: one flat
-//! buffer of `N·B` values where `data[cell·B + lane]` holds `cell` of grid
-//! `lane`. All grids then step in lockstep through one shared
-//! [`CycleSchedule`]: for each comparator `(keep_min, keep_max)` of the
-//! step's [`crate::CompiledPlan`], the engine runs the branchless
-//! compare-exchange of [`crate::kernel`] across the batch dimension — two
-//! contiguous `B`-wide rows, elementwise min/max, per-lane swap tallies —
-//! which autovectorizes with no per-grid branching.
+//! buffer of `N·B` lanes where `data[cell·B + lane]` holds `cell` of grid
+//! `lane`. The buffer holds **ranks, not values**. During the transpose
+//! each grid is rank-coded: a stable LSD radix over
+//! [`KernelValue::order_key`] (skipping every byte on which all keys
+//! agree, so a permutation of `0..256` costs one counting pass) gives each
+//! cell its dense order-preserving rank, equal values sharing a rank.
+//! Ranks are stored in the narrowest unsigned lane that fits — `u8` up to
+//! 256 cells, `u16` up to 65 536, `u32` above — so one vector register
+//! holds 4× (at `u8`) the lanes of a `u32` value buffer. All grids then
+//! step in lockstep through one shared [`CycleSchedule`]: for each
+//! comparator `(keep_min, keep_max)` of the step's [`crate::CompiledPlan`],
+//! the engine runs a branchless compare-exchange across the batch
+//! dimension — two contiguous `B`-wide rows, elementwise min/max, per-lane
+//! swap tallies as wide as the lanes — which autovectorizes with no
+//! per-grid branching. A finished lane is mapped back through its table
+//! of distinct values.
+//!
+//! Stepping ranks is exact, not an approximation: a compare-exchange
+//! network commutes with every monotone relabelling of its inputs (the
+//! fact behind the paper's `A ↦ A^01` reduction), and rank coding is one.
+//! Every comparator sees `a > b` on ranks exactly when it does on values,
+//! so swaps, comparisons, steps and the final arrangement are those of the
+//! value-typed run.
 //!
 //! # Retirement and faithfulness
 //!
@@ -69,9 +85,10 @@
 use crate::absint;
 use crate::error::MeshError;
 use crate::grid::Grid;
-use crate::kernel::{cx_slots, CompiledPlan, KernelValue};
+use crate::kernel::{CompiledPlan, KernelValue};
 use crate::order::TargetOrder;
 use crate::schedule::{CycleSchedule, RunOutcome};
+use std::ops::AddAssign;
 
 /// Bitset of live (not yet sorted) batch lanes — the batch counterpart of
 /// the scalar engine's [`crate::InversionTracker`] check: one bit per lane,
@@ -169,50 +186,190 @@ pub fn run_batch_until_sorted<T: KernelValue>(
             grids.iter_mut().map(|g| schedule.run_until_sorted_kernel(g, order, cap)).collect();
         return Ok(outcomes);
     }
-    Ok(run_lockstep(schedule, grids, order, cap, side))
+    let cells = side * side;
+    Ok(if cells <= 1 << 8 {
+        run_lockstep::<u8, T>(schedule, grids, order, cap, side)
+    } else if cells <= 1 << 16 {
+        run_lockstep::<u16, T>(schedule, grids, order, cap, side)
+    } else {
+        run_lockstep::<u32, T>(schedule, grids, order, cap, side)
+    })
+}
+
+/// Unsigned lane type of the rank-coded buffer: `u8`, `u16` or `u32`,
+/// the narrowest that holds every rank of a grid (see [`run_lockstep`]).
+trait Rank: Copy + Ord + Default + From<bool> + AddAssign + Into<u64> {
+    /// Largest value of the type.
+    const MAX: usize;
+    /// `index` as a lane value; it must fit.
+    fn from_index(index: usize) -> Self;
+    /// The value as a table index.
+    fn index(self) -> usize;
+}
+
+macro_rules! impl_rank {
+    ($($t:ty),*) => {$(
+        impl Rank for $t {
+            const MAX: usize = <$t>::MAX as usize;
+            #[inline]
+            fn from_index(index: usize) -> Self {
+                <$t>::try_from(index).expect("rank fits the lane width")
+            }
+            #[inline]
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+
+impl_rank!(u8, u16, u32);
+
+/// Bit offsets of the key bytes the radix must pass over: those on which
+/// not all `keys` agree (the set bits of OR ^ AND), least significant
+/// first.
+fn radix_shifts(keys: &[u128]) -> impl Iterator<Item = u32> {
+    let (any, all) = keys.iter().fold((0u128, u128::MAX), |(o, a), &k| (o | k, a & k));
+    let varying = any ^ all;
+    (0..128).step_by(8).filter(move |&s| (varying >> s) as u8 != 0)
+}
+
+/// Sorts the cells of a grid by their [`KernelValue::order_key`]s with a
+/// stable LSD radix, one counting pass per byte of [`radix_shifts`]: a
+/// permutation of `0..256` costs one pass. Returns the cell indices in
+/// key order.
+fn radix_order<'a>(keys: &[u128], order: &'a mut Vec<u32>, spare: &'a mut Vec<u32>) -> &'a [u32] {
+    order.clear();
+    order.extend(0..keys.len() as u32);
+    spare.resize(keys.len(), 0);
+    for shift in radix_shifts(keys) {
+        let digit = |key: u128| usize::from((key >> shift) as u8);
+        let mut start = [0usize; 256];
+        for &key in keys {
+            start[digit(key)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut start {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for &cell in order.iter() {
+            let d = digit(keys[cell as usize]);
+            spare[start[d]] = cell;
+            start[d] += 1;
+        }
+        std::mem::swap(order, spare);
+    }
+    order
+}
+
+/// Lane `col` of a cell-major buffer `width` lanes wide.
+#[derive(Clone, Copy)]
+struct Column<'a, R> {
+    soa: &'a [R],
+    width: usize,
+    col: usize,
+}
+
+impl<R: Rank> Column<'_, R> {
+    fn get(self, cell: usize) -> R {
+        self.soa[cell * self.width + self.col]
+    }
+}
+
+/// Scratch buffers of the rank coder, reused across the grids of a batch.
+struct RankCoder<T> {
+    keys: Vec<u128>,
+    order: Vec<u32>,
+    spare: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T: KernelValue> RankCoder<T> {
+    fn new() -> Self {
+        RankCoder { keys: Vec::new(), order: Vec::new(), spare: Vec::new(), values: Vec::new() }
+    }
+
+    /// Writes `grid`'s dense order-preserving ranks into lane `col` of the
+    /// cell-major buffer (`soa[cell * width + col]`): equal values get equal
+    /// ranks, and rank `r` is the `r`-th smallest distinct value. The grid
+    /// itself becomes the lane's write-back table, its distinct values
+    /// ascending in its first slots, until [`RankCoder::decode`] restores it.
+    fn encode<R: Rank>(&mut self, grid: &mut Grid<T>, soa: &mut [R], width: usize, col: usize) {
+        self.values.clear();
+        self.values.extend_from_slice(grid.as_slice());
+        self.keys.clear();
+        self.keys.extend(self.values.iter().map(|v| v.order_key()));
+        let order = radix_order(&self.keys, &mut self.order, &mut self.spare);
+        let table = grid.as_mut_slice();
+        let mut rank = 0;
+        let mut prev = self.keys[order[0] as usize];
+        table[0] = self.values[order[0] as usize];
+        for &cell in order {
+            let key = self.keys[cell as usize];
+            if key != prev {
+                prev = key;
+                rank += 1;
+                table[rank] = self.values[cell as usize];
+            }
+            soa[cell as usize * width + col] = R::from_index(rank);
+        }
+    }
+
+    /// Maps lane `col`'s ranks through its table (the grid, as
+    /// [`RankCoder::encode`] left it), restoring the grid's values in their
+    /// final arrangement.
+    fn decode<R: Rank>(&mut self, grid: &mut Grid<T>, ranks: Column<'_, R>) {
+        self.values.clear();
+        self.values.extend_from_slice(grid.as_slice());
+        for (cell, slot) in grid.as_mut_slice().iter_mut().enumerate() {
+            *slot = self.values[ranks.get(cell).index()];
+        }
+    }
 }
 
 /// Whether lane `col` of the cell-major buffer reads sorted: every
 /// adjacent rank pair of `order`'s rank table is non-inverted. Full-lane
 /// scans are strided and therefore only run at retirement candidacy
 /// (quiescence), never per step.
-fn lane_sorted<T: Ord>(soa: &[T], width: usize, col: usize, table: &[u32]) -> bool {
+fn lane_sorted<R: Rank>(soa: &[R], width: usize, col: usize, table: &[u32]) -> bool {
     table.windows(2).all(|w| soa[w[0] as usize * width + col] <= soa[w[1] as usize * width + col])
 }
 
 /// Branchless compare-exchange of one comparator across the whole batch:
 /// cell row `lo` receives the per-lane minima, row `hi` the maxima, and
-/// `swaps[lane]` counts the exchange. Same selects as the scalar kernel —
-/// contiguous rows and a `u32` tally keep the loop vectorizable.
-fn cx_lanes<T: KernelValue>(soa: &mut [T], width: usize, lo: usize, hi: usize, swaps: &mut [u32]) {
+/// `swaps[lane]` counts the exchange. Contiguous rows and a tally as wide
+/// as the lanes keep the loop vectorized: on `u8` lanes baseline x86-64
+/// SSE2 does 16 lanes per `pminub`/`pmaxub`.
+fn cx_lanes<R: Rank>(soa: &mut [R], width: usize, lo: usize, hi: usize, swaps: &mut [R]) {
     let (lo_off, hi_off) = (lo * width, hi * width);
-    if lo_off < hi_off {
+    let (mins, maxs) = if lo_off < hi_off {
         let (head, tail) = soa.split_at_mut(hi_off);
-        let mins = &mut head[lo_off..lo_off + width];
-        let maxs = &mut tail[..width];
-        for ((mn, mx), sw) in mins.iter_mut().zip(maxs.iter_mut()).zip(swaps.iter_mut()) {
-            cx_slots(mn, mx, sw);
-        }
+        (&mut head[lo_off..lo_off + width], &mut tail[..width])
     } else {
         let (head, tail) = soa.split_at_mut(lo_off);
-        let maxs = &mut head[hi_off..hi_off + width];
-        let mins = &mut tail[..width];
-        for ((mn, mx), sw) in mins.iter_mut().zip(maxs.iter_mut()).zip(swaps.iter_mut()) {
-            cx_slots(mn, mx, sw);
-        }
-    }
-}
-
-/// Copies lane `col` of the cell-major buffer back into its source grid.
-fn write_back<T: KernelValue>(grid: &mut Grid<T>, soa: &[T], width: usize, col: usize) {
-    for (cell, slot) in grid.as_mut_slice().iter_mut().enumerate() {
-        *slot = soa[cell * width + col];
+        (&mut tail[..width], &mut head[hi_off..hi_off + width])
+    };
+    for ((mn, mx), sw) in mins.iter_mut().zip(maxs.iter_mut()).zip(swaps.iter_mut()) {
+        let (a, b) = (*mn, *mx);
+        *mn = a.min(b);
+        *mx = a.max(b);
+        *sw += R::from(a > b);
     }
 }
 
 /// The lockstep engine proper; only entered once the sorted state is known
 /// to be a fixed point of `schedule` (see [`run_batch_until_sorted`]).
-fn run_lockstep<T: KernelValue>(
+/// Rank-codes `grids` into `R` lanes (the transpose to cell-major), steps
+/// them and writes each lane back through its table.
+///
+/// A compare-exchange network commutes with every monotone relabelling of
+/// its inputs, so stepping each grid's dense ranks instead of its values
+/// gives the same exchanges, counts and final arrangement. The caller
+/// picks the narrowest lane that holds every rank — `u8` up to 256 cells,
+/// `u16` up to 65 536, `u32` above — and the per-step swap tally shares
+/// its width: one step swaps a lane at most `cells / 2` times, because a
+/// step's comparators touch disjoint cells.
+fn run_lockstep<R: Rank, T: KernelValue>(
     schedule: &CycleSchedule,
     grids: &mut [Grid<T>],
     order: TargetOrder,
@@ -220,7 +377,33 @@ fn run_lockstep<T: KernelValue>(
     side: usize,
 ) -> Vec<RunOutcome> {
     let cells = side * side;
-    let batch = grids.len();
+    debug_assert!(cells <= R::MAX + 1, "every rank fits the lane width");
+    debug_assert!(cells / 2 <= R::MAX, "a step's swap tally fits the lane width");
+    let width = grids.len();
+    let mut coder = RankCoder::new();
+    let mut soa = vec![R::default(); cells * width];
+    for (col, grid) in grids.iter_mut().enumerate() {
+        coder.encode(grid, &mut soa, width, col);
+    }
+    step_lanes(schedule, order, cap, side, soa, width, &mut |lane, ranks| {
+        coder.decode(&mut grids[lane], ranks);
+    })
+}
+
+/// Steps the rank-coded cell-major buffer `soa` of `batch` lanes to
+/// `order` and returns one outcome per lane; `write_back(lane, ranks)`
+/// receives each lane's final ranks once, when the lane retires or the
+/// cap is hit.
+fn step_lanes<R: Rank>(
+    schedule: &CycleSchedule,
+    order: TargetOrder,
+    cap: u64,
+    side: usize,
+    mut soa: Vec<R>,
+    batch: usize,
+    write_back: &mut dyn FnMut(usize, Column<'_, R>),
+) -> Vec<RunOutcome> {
+    let cells = side * side;
     let table = order.rank_to_flat_table(side);
     // Hoist each compiled step to a flat comparator pair list once; the
     // inner loops then vectorize across lanes, not across comparators.
@@ -232,14 +415,6 @@ fn run_lockstep<T: KernelValue>(
     let step_comparisons: Vec<u64> =
         schedule.compiled_plans().iter().map(CompiledPlan::comparisons).collect();
 
-    // Grid-major -> cell-major transpose.
-    let mut soa: Vec<T> = Vec::with_capacity(cells * batch);
-    for cell in 0..cells {
-        for g in grids.iter() {
-            soa.push(g.as_slice()[cell]);
-        }
-    }
-
     let mut outcomes =
         vec![RunOutcome { steps: 0, swaps: 0, comparisons: 0, sorted: false }; batch];
     // Column `col` of the (possibly compacted) buffer belongs to grid
@@ -248,7 +423,7 @@ fn run_lockstep<T: KernelValue>(
     let mut width = batch;
     let mut mask = LaneMask::full(width);
     let mut swaps_total: Vec<u64> = vec![0; width];
-    let mut swaps_step: Vec<u32> = vec![0; width];
+    let mut swaps_step: Vec<R> = vec![R::default(); width];
     // Quiescence bookkeeping: the step each lane last swapped at, and its
     // comparison total as of that step (its retirement snapshot).
     let mut last_swap: Vec<u64> = vec![0; width];
@@ -259,6 +434,7 @@ fn run_lockstep<T: KernelValue>(
     for col in 0..width {
         if lane_sorted(&soa, width, col, &table) {
             outcomes[lane_of[col] as usize].sorted = true;
+            write_back(lane_of[col] as usize, Column { soa: &soa, width, col });
             mask.clear(col);
         }
     }
@@ -277,19 +453,18 @@ fn run_lockstep<T: KernelValue>(
         }
         comparisons_so_far += step_comparisons[i];
         t += 1;
-        // Flush the vector-friendly u32 step tallies (a step swaps each
-        // lane at most once per comparator, far below u32::MAX) into the
-        // u64 running totals, and drive quiescence detection off the same
+        // Flush the lane-width step tallies into the u64 running totals,
+        // and drive quiescence detection off the same
         // numbers: a swap timestamps the lane; a lane quiet for exactly
         // one full cycle gets its single sortedness scan. Retired lanes
         // tally zero forever (every wire is dead on sorted data) and the
         // `==` trigger fires at most once per lane, so neither re-enters.
         retiring.clear();
         for col in 0..width {
-            let s = swaps_step[col];
+            let s: u64 = swaps_step[col].into();
             if s > 0 {
-                swaps_step[col] = 0;
-                swaps_total[col] += u64::from(s);
+                swaps_step[col] = R::default();
+                swaps_total[col] += s;
                 last_swap[col] = t;
                 comp_at_last_swap[col] = comparisons_so_far;
             } else if t - last_swap[col] == quiet_window
@@ -307,7 +482,7 @@ fn run_lockstep<T: KernelValue>(
                 comparisons: comp_at_last_swap[col],
                 sorted: true,
             };
-            write_back(&mut grids[lane], &soa, width, col);
+            write_back(lane, Column { soa: &soa, width, col });
             mask.clear(col);
         }
         // Straggler compaction: once at most half the columns are live,
@@ -327,7 +502,7 @@ fn run_lockstep<T: KernelValue>(
             last_swap = live_cols.iter().map(|&c| last_swap[c]).collect();
             comp_at_last_swap = live_cols.iter().map(|&c| comp_at_last_swap[c]).collect();
             width = live_cols.len();
-            swaps_step = vec![0; width];
+            swaps_step = vec![R::default(); width];
             mask = LaneMask::full(width);
         }
     }
@@ -355,7 +530,7 @@ fn run_lockstep<T: KernelValue>(
                 sorted: false,
             }
         };
-        write_back(&mut grids[lane], &soa, width, col);
+        write_back(lane, Column { soa: &soa, width, col });
     });
     outcomes
 }
@@ -364,6 +539,7 @@ fn run_lockstep<T: KernelValue>(
 mod tests {
     use super::*;
     use crate::plan::StepPlan;
+    use crate::rng::Rng;
 
     /// Odd-even transposition on the flat row-major line of an n²-cell
     /// grid — a schedule whose sorted state is a fixed point, so the
@@ -497,6 +673,90 @@ mod tests {
             let expect = s.run_until_sorted_kernel(g, TargetOrder::RowMajor, 8);
             assert_eq!(outcomes[i], expect, "grid {i}");
             assert_eq!(&grids[i], g, "grid {i}");
+        }
+    }
+
+    /// Rank-codes `values` into lane 1 of a two-lane buffer, checks the
+    /// ranks are dense and order-isomorphic to the values (ties included)
+    /// after `passes` radix passes, and that write-back restores the grid.
+    fn check_rank_coding<T: KernelValue + std::fmt::Debug>(values: Vec<T>, passes: usize) {
+        let keys: Vec<u128> = values.iter().map(|v| v.order_key()).collect();
+        assert_eq!(radix_shifts(&keys).count(), passes, "radix passes");
+        let cells = values.len();
+        let side = (1..=cells).find(|s| s * s == cells).expect("a square grid");
+        let original = Grid::from_rows(side, values).unwrap();
+        let mut grid = original.clone();
+        let mut coder = RankCoder::new();
+        let mut soa = vec![0u16; 2 * cells];
+        coder.encode(&mut grid, &mut soa, 2, 1);
+        let ranks: Vec<u16> = (0..cells).map(|cell| soa[cell * 2 + 1]).collect();
+        let v = original.as_slice();
+        for i in 0..cells {
+            for j in 0..cells {
+                assert_eq!(ranks[i].cmp(&ranks[j]), v[i].cmp(&v[j]), "cells {i} and {j}");
+            }
+        }
+        let mut distinct = v.to_vec();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(ranks.iter().max().map(|&r| usize::from(r) + 1), Some(distinct.len()));
+        assert_eq!(&grid.as_slice()[..distinct.len()], &distinct[..], "write-back table");
+        coder.decode(&mut grid, Column { soa: &soa, width: 2, col: 1 });
+        assert_eq!(grid, original, "write-back round trip");
+    }
+
+    #[test]
+    fn rank_coding_skips_agreeing_digits() {
+        let mut perm: Vec<u32> = (0..256).collect();
+        Rng::seed_from_u64(3).shuffle(&mut perm);
+        check_rank_coding(perm.clone(), 1);
+        check_rank_coding(perm.iter().map(|v| v % 7).collect(), 1);
+        check_rank_coding(perm.iter().map(|v| ((v % 5) << 16) | 0xAB).collect(), 1);
+        check_rank_coding(vec![42u8; 9], 0);
+        check_rank_coding(vec![false, true, true, false], 1);
+    }
+
+    #[test]
+    fn rank_coding_on_every_digit() {
+        let mut rng = Rng::seed_from_u64(5);
+        let mut wide: Vec<u128> = (0..16)
+            .map(|_| (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64()))
+            .collect();
+        wide[3] = wide[11];
+        wide[7] = 0;
+        wide[8] = u128::MAX;
+        check_rank_coding(wide, 16);
+        let signed = vec![i128::MIN, -1, 0, 1, i128::MAX, -1, i128::MIN, 7, 0];
+        check_rank_coding(signed, 16);
+    }
+
+    #[test]
+    fn every_lane_width_matches_scalar() {
+        // The u16 and u32 lanes are only chosen above 256 and 65 536
+        // cells; forcing them on a small batch checks their stepping loop
+        // against the scalar engine, with duplicates and a straggler.
+        let side = 4;
+        let s = odd_even_schedule(side * side);
+        let mut grids: Vec<Grid<i64>> = (0..21)
+            .map(|i| {
+                let g = scrambled(side, i);
+                Grid::from_rows(side, g.as_slice().iter().map(|&v| i64::from(v % 6) - 3).collect())
+                    .unwrap()
+            })
+            .collect();
+        grids[9] = Grid::from_rows(side, (0..16).rev().map(|v| (v - 8) * (i64::MAX / 8)).collect())
+            .unwrap();
+        let mut expect = grids.clone();
+        let outcomes: Vec<RunOutcome> =
+            expect.iter_mut().map(|g| s.run_until_sorted(g, TargetOrder::RowMajor, 64)).collect();
+        type Runner =
+            fn(&CycleSchedule, &mut [Grid<i64>], TargetOrder, u64, usize) -> Vec<RunOutcome>;
+        let runners: [Runner; 3] =
+            [run_lockstep::<u8, i64>, run_lockstep::<u16, i64>, run_lockstep::<u32, i64>];
+        for (width, run) in runners.iter().enumerate() {
+            let mut batch = grids.clone();
+            assert_eq!(run(&s, &mut batch, TargetOrder::RowMajor, 64, side), outcomes, "{width}");
+            assert_eq!(batch, expect, "lane width {width}");
         }
     }
 

@@ -38,6 +38,11 @@ mod sealed {
 /// data-dependent branch. Everything else sorts through the generic `Ord`
 /// reference path.
 pub trait KernelValue: Copy + Ord + sealed::Sealed {
+    /// Order-preserving key: `a.cmp(&b) == a.order_key().cmp(&b.order_key())`.
+    /// Unsigned types widen, signed types flip their sign bit first, and
+    /// `bool` and `char` widen. The batch engine ranks grids by it.
+    fn order_key(self) -> u128;
+
     /// Branchless compare-exchange: `(smaller, larger, swapped)`, where
     /// `swapped` is `true` iff `a > b` — the exact condition under which
     /// the reference engine exchanges a comparator's cells.
@@ -53,13 +58,34 @@ pub trait KernelValue: Copy + Ord + sealed::Sealed {
 }
 
 macro_rules! impl_kernel_value {
-    ($($t:ty),* $(,)?) => {$(
+    ($($t:ty => |$v:ident| $key:expr),* $(,)?) => {$(
         impl sealed::Sealed for $t {}
-        impl KernelValue for $t {}
+        impl KernelValue for $t {
+            #[inline]
+            fn order_key(self) -> u128 {
+                let $v = self;
+                $key
+            }
+        }
     )*};
 }
 
-impl_kernel_value!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, bool, char);
+impl_kernel_value!(
+    u8 => |v| u128::from(v),
+    u16 => |v| u128::from(v),
+    u32 => |v| u128::from(v),
+    u64 => |v| u128::from(v),
+    u128 => |v| v,
+    usize => |v| v as u128,
+    i8 => |v| u128::from(v as u8 ^ (1 << 7)),
+    i16 => |v| u128::from(v as u16 ^ (1 << 15)),
+    i32 => |v| u128::from(v as u32 ^ (1 << 31)),
+    i64 => |v| u128::from(v as u64 ^ (1 << 63)),
+    i128 => |v| v as u128 ^ (1 << 127),
+    isize => |v| (v as usize ^ (1 << (usize::BITS - 1))) as u128,
+    bool => |v| u128::from(v),
+    char => |v| u128::from(u32::from(v)),
+);
 
 /// A maximal arithmetic run: comparator `k` (for `k < count`) keeps the
 /// smaller value at flat index `min_start + k·stride` and the larger at
@@ -333,6 +359,29 @@ mod tests {
         assert_eq!(u32::sort2(3, 5), (3, 5, false));
         assert_eq!(u32::sort2(5, 3), (3, 5, true));
         assert_eq!(u32::sort2(4, 4), (4, 4, false));
+    }
+
+    fn keys_preserve_order<T: KernelValue + std::fmt::Debug>(values: &[T]) {
+        for &a in values {
+            for &b in values {
+                assert_eq!(a.cmp(&b), a.order_key().cmp(&b.order_key()), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn order_keys_preserve_order() {
+        keys_preserve_order(&[0u8, 1, 127, 128, u8::MAX]);
+        keys_preserve_order(&[0u32, 1, u32::MAX - 1, u32::MAX]);
+        keys_preserve_order(&[0u128, 1, 1 << 64, (1 << 64) + 1, u128::MAX]);
+        keys_preserve_order(&[i8::MIN, -1, 0, 1, i8::MAX]);
+        keys_preserve_order(&[i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX]);
+        keys_preserve_order(&[i64::MIN, -(1 << 40), -1, 0, 1 << 40, i64::MAX]);
+        keys_preserve_order(&[i128::MIN, -1, 0, 1, i128::MAX]);
+        keys_preserve_order(&[isize::MIN, -1, 0, isize::MAX]);
+        keys_preserve_order(&[usize::MIN, 1, usize::MAX]);
+        keys_preserve_order(&[false, true]);
+        keys_preserve_order(&['\0', 'a', 'z', '\u{10FFFF}']);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 
 use meshsort_core::{optimized_for, runner, schedule_for, AlgorithmId, Budget, SortJob};
 use meshsort_mesh::schedule::RunOutcome;
-use meshsort_mesh::{run_batch_until_sorted, Grid, Rng, TargetOrder};
+use meshsort_mesh::{run_batch_until_sorted, Grid, KernelValue, Rng, TargetOrder};
+use std::fmt::Debug;
 
 /// A pseudo-random permutation of `0..side²`.
 fn permutation_grid(side: usize, seed: u64) -> Grid<u32> {
@@ -46,7 +47,12 @@ fn duplicate_heavy_grid(side: usize, seed: u64) -> Grid<u32> {
 
 /// Runs `grids` through the mesh-level lockstep engine and checks every
 /// lane against both scalar engines (kernel and reference) grid by grid.
-fn assert_batch_faithful(algorithm: AlgorithmId, side: usize, grids: &[Grid<u32>], cap: u64) {
+fn assert_batch_faithful<T: KernelValue + Debug>(
+    algorithm: AlgorithmId,
+    side: usize,
+    grids: &[Grid<T>],
+    cap: u64,
+) {
     let schedule = schedule_for(algorithm, side).unwrap();
     let order = algorithm.order();
 
@@ -254,4 +260,73 @@ fn mass_retirement_batch_exercises_compaction() {
     let mut grids: Vec<Grid<u32>> = (0..70).map(|_| sorted_grid(side, order)).collect();
     grids[37] = reversed_grid(side);
     assert_batch_faithful(algorithm, side, &grids, cap);
+}
+
+/// Sides 16 and 17 where the algorithm supports them: the workload side,
+/// the last side whose ranks fit `u8` lanes (256 cells) and the first that
+/// needs `u16` lanes (289 cells).
+fn lane_boundary_sides(algorithm: AlgorithmId) -> Vec<usize> {
+    [16, 17].into_iter().filter(|&s| algorithm.schedule(s).is_ok()).collect()
+}
+
+/// Maps each cell of a few random permutation grids (plus the reversed
+/// grid) through `f`, for every algorithm at both lane-boundary sides,
+/// and checks the batch against the per-grid engines.
+fn assert_boundary_batches_faithful<T: KernelValue + Debug>(f: impl Fn(u32, usize) -> T) {
+    for algorithm in AlgorithmId::ALL {
+        for side in lane_boundary_sides(algorithm) {
+            let cells = side * side;
+            let grids: Vec<Grid<T>> = (0..4)
+                .map(|i| permutation_grid(side, i * 13 + side as u64))
+                .chain([reversed_grid(side)])
+                .map(|g| Grid::from_rows(side, g.as_slice().iter().map(|&v| f(v, cells)).collect()))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            assert_batch_faithful(algorithm, side, &grids, runner::default_step_cap(side));
+        }
+    }
+}
+
+#[test]
+fn lane_boundary_sides_bit_identical_all_five() {
+    assert_boundary_batches_faithful(|v, _| v);
+}
+
+#[test]
+fn duplicate_heavy_and_extreme_values_bit_identical() {
+    assert_boundary_batches_faithful(|v, _| [0, 1, u32::MAX - 1, u32::MAX][v as usize % 4]);
+    assert_boundary_batches_faithful(
+        |v, cells| if (v as usize) < cells / 2 { 0 } else { u32::MAX },
+    );
+    for algorithm in AlgorithmId::ALL {
+        for side in lane_boundary_sides(algorithm) {
+            let constant = Grid::from_rows(side, vec![7u32; side * side]).unwrap();
+            let grids = [constant, duplicate_heavy_grid(side, 11), duplicate_heavy_grid(side, 12)];
+            assert_batch_faithful(algorithm, side, &grids, runner::default_step_cap(side));
+        }
+    }
+}
+
+#[test]
+fn signed_values_with_negatives_and_min_bit_identical() {
+    assert_boundary_batches_faithful(|v, cells| match v {
+        0 => i32::MIN,
+        1 => i32::MAX,
+        _ => (v as i32 - cells as i32 / 2) * 1_000,
+    });
+    assert_boundary_batches_faithful(|v, cells| match v % 3 {
+        0 => i64::MIN,
+        _ => (i64::from(v) - cells as i64 / 2) << 40,
+    });
+}
+
+#[test]
+fn u128_values_differing_only_above_bit_64_bit_identical() {
+    assert_boundary_batches_faithful(|v, _| (u128::from(v) << 64) | 0xDEAD_BEEF);
+}
+
+#[test]
+fn bool_and_char_values_bit_identical() {
+    assert_boundary_batches_faithful(|v, _| v % 3 == 0);
+    assert_boundary_batches_faithful(|v, _| char::from_u32(0x1F600 + v % 40).unwrap());
 }
