@@ -156,21 +156,6 @@ impl std::error::Error for Error {
     }
 }
 
-/// Unwraps the [`Error::Mesh`] case for the deprecated legacy shims,
-/// whose signatures still return bare [`MeshError`]s. The shims only
-/// build jobs that cannot produce any other family (sides come from the
-/// grids themselves), so anything else is a shim bug.
-///
-/// # Panics
-///
-/// If `err` is not [`Error::Mesh`].
-pub(crate) fn demote_to_mesh(err: Error) -> MeshError {
-    match err {
-        Error::Mesh(e) => e,
-        other => unreachable!("legacy shim surfaced a non-mesh error: {other}"),
-    }
-}
-
 impl From<MeshError> for Error {
     fn from(e: MeshError) -> Self {
         Error::Mesh(e)

@@ -1,14 +1,10 @@
 //! `SortJob` — the one entry point for every sorting request.
 //!
-//! Historically the crate grew six divergent drivers
-//! (`sort_to_completion`, `sort_with_cap`, `sort_to_completion_optimized`,
-//! `sort_resilient`, `sort_batch`, `sort_batch_with`), each hard-wiring
-//! one point of the engine × budget × plan × fault space. [`SortJob`] is
-//! the redesign: a builder that names each axis explicitly and resolves
-//! to exactly the same engine calls, so the library, the CLI, and the
-//! `meshsortd` wire protocol all speak one request shape. The old
-//! functions survive as deprecated shims delegating here
-//! (`tests/job_equivalence.rs` proves bit-identical results).
+//! A [`SortJob`] is a builder that names each axis of a run explicitly —
+//! engine × budget × plan × faults — so the library, the CLI, and the
+//! `meshsortd` wire protocol all speak one request shape. Every engine
+//! choice gives bit-identical results: `tests/job_equivalence.rs` checks
+//! each point of that space against the [`Engine::Scalar`] oracle.
 //!
 //! ```
 //! use meshsort_core::{AlgorithmId, Budget, SortJob};
@@ -32,12 +28,12 @@ use crate::algorithm::AlgorithmId;
 use crate::batch::{DEFAULT_SHARD_WIDTH, LOCKSTEP_MAX_CELLS};
 use crate::cache;
 use crate::error::Error;
-use crate::runner::{default_step_cap, resilient_policy_for, static_step_bound, RunStats};
+use crate::runner::{default_step_cap, resilient_policy_for, static_step_bound};
 use meshsort_mesh::fault::derive_seed;
 use meshsort_mesh::schedule::RunOutcome as ScheduleOutcome;
 use meshsort_mesh::{
-    batch as mesh_batch, CycleSchedule, FaultPlan, FaultSpec, Grid, KernelValue, MeshError,
-    OptimizedPlan, ResilientPolicy, ResilientReport, TargetOrder,
+    batch as mesh_batch, metrics, CycleSchedule, FaultPlan, FaultSpec, Grid, KernelValue,
+    MeshError, OptimizedPlan, ResilientPolicy, ResilientReport, TargetOrder,
 };
 use meshsort_stats::parallel;
 use std::hash::Hash;
@@ -350,15 +346,13 @@ impl SortJob {
             return Ok(outcome_from_report(self.algorithm, self.side, &report, &policy));
         }
 
-        let stats: RunStats = match self.engine {
-            Engine::Scalar => schedule.run_until_sorted(grid, order, cap).into(),
-            Engine::Auto | Engine::Kernel => {
-                schedule.run_until_sorted_kernel(grid, order, cap).into()
-            }
+        let stats = match self.engine {
+            Engine::Scalar => schedule.run_until_sorted(grid, order, cap),
+            Engine::Auto | Engine::Kernel => schedule.run_until_sorted_kernel(grid, order, cap),
             Engine::Batch => {
                 let lane = std::slice::from_mut(grid);
                 let mut outcomes = run_batch_engine(schedule, lane, order, cap, self.side)?;
-                outcomes.pop().expect("one lane in, one outcome out").into()
+                outcomes.pop().expect("one lane in, one outcome out")
             }
         };
         Ok(outcome_from_stats(self.algorithm, self.side, stats, grid, cap))
@@ -443,7 +437,7 @@ impl SortJob {
         });
         let mut stats = Vec::with_capacity(grids.len());
         for shard in shards {
-            stats.extend(shard?.into_iter().map(RunStats::from));
+            stats.extend(shard?);
         }
         Ok(stats
             .into_iter()
@@ -485,20 +479,30 @@ impl ScheduleRef {
     }
 }
 
+/// Classifies a fault-free run against the grid it produced: a run that
+/// hit its cap reports `BudgetExhausted` with its residual inversions.
 fn outcome_from_stats<T: Ord + Clone>(
     algorithm: AlgorithmId,
     side: usize,
-    stats: RunStats,
+    stats: ScheduleOutcome,
     grid: &Grid<T>,
     cap: u64,
 ) -> RunOutcome {
+    let convergence = if stats.sorted {
+        Convergence::Converged { steps: stats.steps }
+    } else {
+        Convergence::BudgetExhausted {
+            steps: stats.steps,
+            residual_inversions: metrics::inversions(grid, algorithm.order()),
+        }
+    };
     RunOutcome {
         algorithm,
         side,
         steps: stats.steps,
         swaps: stats.swaps,
         comparisons: stats.comparisons,
-        convergence: stats.classify(grid, algorithm.order()),
+        convergence,
         budget: cap,
         faults: None,
     }
@@ -535,6 +539,13 @@ mod tests {
         Grid::from_rows(side, (0..(side * side) as u32).rev().collect()).unwrap()
     }
 
+    fn scrambled(side: usize, salt: u32) -> Grid<u32> {
+        let cells = (side * side) as u32;
+        let data: Vec<u32> =
+            (0..cells).map(|v| (v.wrapping_mul(2654435761).wrapping_add(salt)) % cells).collect();
+        Grid::from_rows(side, data).unwrap()
+    }
+
     #[test]
     fn default_job_sorts_all_five() {
         for a in AlgorithmId::ALL {
@@ -542,9 +553,22 @@ mod tests {
             let run = SortJob::new(a, 8).run(&mut g).unwrap();
             assert!(run.sorted(), "{a}");
             assert!(g.is_sorted(a.order()), "{a}");
+            assert_eq!((run.algorithm, run.side), (a, 8), "{a}");
             assert_eq!(run.convergence, Convergence::Converged { steps: run.steps }, "{a}");
             assert_eq!(run.budget, default_step_cap(8), "{a}");
             assert!(run.faults.is_none(), "{a}");
+            // Θ(N) regime: a reversed input is expensive.
+            assert!(run.steps >= 8, "{a}: {}", run.steps);
+        }
+    }
+
+    #[test]
+    fn already_sorted_costs_zero() {
+        for a in AlgorithmId::ALL {
+            let mut g = meshsort_mesh::grid::sorted_permutation_grid(4, a.order());
+            let run = SortJob::new(a, 4).run(&mut g).unwrap();
+            assert_eq!(run.steps, 0, "{a}");
+            assert_eq!(run.convergence, Convergence::Converged { steps: 0 }, "{a}");
         }
     }
 
@@ -590,6 +614,7 @@ mod tests {
             .run(&mut g)
             .unwrap();
         assert!(!run.sorted());
+        assert!(!g.is_sorted(TargetOrder::Snake));
         assert_eq!(run.budget, 2);
         match run.convergence {
             Convergence::BudgetExhausted { steps, residual_inversions } => {
@@ -598,6 +623,25 @@ mod tests {
             }
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn classification_follows_the_grid_across_runs() {
+        // A starved run leaves the grid unsorted and says so; a second run
+        // on the same grid picks up from there and converges.
+        let job = SortJob::new(AlgorithmId::SnakeAlternating, 8);
+        let mut g = reversed(8);
+        let starved = job.clone().budget(Budget::Steps(2)).run(&mut g).unwrap();
+        assert_eq!(
+            starved.convergence,
+            Convergence::BudgetExhausted {
+                steps: 2,
+                residual_inversions: metrics::inversions(&g, TargetOrder::Snake)
+            }
+        );
+        let full = job.run(&mut g).unwrap();
+        assert_eq!(full.convergence, Convergence::Converged { steps: full.steps });
+        assert!(g.is_sorted(TargetOrder::Snake));
     }
 
     #[test]
@@ -614,7 +658,20 @@ mod tests {
             assert_eq!(base.swaps, run.swaps, "{a}");
             if a == AlgorithmId::SnakePhaseAligned {
                 assert!(run.comparisons < base.comparisons, "{a}: dead wires must be stripped");
+            } else {
+                assert_eq!(base.comparisons, run.comparisons, "{a}");
             }
+        }
+    }
+
+    #[test]
+    fn optimized_run_respects_the_static_bound() {
+        for a in AlgorithmId::ALL {
+            let mut g = reversed(8);
+            let run =
+                SortJob::new(a, 8).optimized(true).budget(Budget::Static).run(&mut g).unwrap();
+            assert!(run.sorted(), "{a}");
+            assert!(run.steps <= static_step_bound(a, 8), "{a}");
         }
     }
 
@@ -630,6 +687,38 @@ mod tests {
         let faults = run.faults.expect("fault stats present");
         assert!(faults.dropped > 0, "transient faults must drop comparators");
         assert_eq!(run.budget, resilient_policy_for(AlgorithmId::SnakeAlternating, 8).step_budget);
+    }
+
+    #[test]
+    fn fault_plan_jobs_converge_under_mild_faults() {
+        let policy = ResilientPolicy::for_side(8);
+        for a in AlgorithmId::ALL {
+            let faults = crate::fault_plan_for(a, 8, &FaultSpec::transient(0xFA11, 0.02)).unwrap();
+            let mut g = reversed(8);
+            let run =
+                SortJob::new(a, 8).fault_plan(faults).resilient_policy(policy).run(&mut g).unwrap();
+            assert!(run.sorted(), "{a}: {:?}", run.convergence);
+            assert!(g.is_sorted(a.order()), "{a}");
+        }
+    }
+
+    #[test]
+    fn noop_fault_plan_matches_fault_free_run() {
+        let policy = ResilientPolicy::for_side(8);
+        for a in AlgorithmId::ALL {
+            let mut plain = reversed(8);
+            let mut resilient = reversed(8);
+            let base = SortJob::new(a, 8).run(&mut plain).unwrap();
+            let run = SortJob::new(a, 8)
+                .fault_plan(FaultPlan::none())
+                .resilient_policy(policy)
+                .run(&mut resilient)
+                .unwrap();
+            assert_eq!(run.convergence, Convergence::Converged { steps: base.steps }, "{a}");
+            assert_eq!((run.steps, run.swaps), (base.steps, base.swaps), "{a}");
+            assert_eq!(run.comparisons, base.comparisons, "{a}");
+            assert_eq!(plain, resilient, "{a}");
+        }
     }
 
     #[test]
@@ -649,7 +738,8 @@ mod tests {
     fn batch_matches_per_grid_runs() {
         for a in AlgorithmId::ALL {
             let job = SortJob::new(a, 8).budget(Budget::Static);
-            let mut grids: Vec<Grid<u32>> = (0..5).map(|_| reversed(8)).collect();
+            let mut grids: Vec<Grid<u32>> = (0..5).map(|i| scrambled(8, i)).collect();
+            grids.push(reversed(8));
             let mut solo = grids.clone();
             let runs = job.run_batch(&mut grids).unwrap();
             for (i, g) in solo.iter_mut().enumerate() {
@@ -657,6 +747,52 @@ mod tests {
                 assert_eq!(runs[i], expect, "{a}: grid {i}");
                 assert_eq!(&grids[i], g, "{a}: grid {i}");
             }
+        }
+    }
+
+    #[test]
+    fn batch_step_cap_matches_per_grid_cap() {
+        let job = SortJob::new(AlgorithmId::SnakePhaseAligned, 8).budget(Budget::Steps(3));
+        let mut grids: Vec<Grid<u32>> = (0..4).map(|i| scrambled(8, i)).collect();
+        let mut solo = grids.clone();
+        let runs = job.clone().shard_width(2).threads(1).run_batch(&mut grids).unwrap();
+        for (i, g) in solo.iter_mut().enumerate() {
+            let expect = job.run(g).unwrap();
+            assert!(!expect.sorted(), "grid {i}: three steps cannot sort it");
+            assert_eq!(runs[i], expect, "grid {i}");
+            assert_eq!(&grids[i], g, "grid {i}");
+        }
+    }
+
+    #[test]
+    fn sharding_and_threads_do_not_change_results() {
+        let job = SortJob::new(AlgorithmId::SnakeAlternating, 8);
+        let baseline: Vec<Grid<u32>> = (0..10).map(|i| scrambled(8, i)).collect();
+        let mut expect = baseline.clone();
+        let expect_runs = job.clone().threads(1).shard_width(3).run_batch(&mut expect).unwrap();
+        // Ragged shards (10 % 3 != 0, 10 % 4 != 0) and varying threads.
+        for (threads, width) in [(1, 4), (2, 3), (4, 4), (3, 100)] {
+            let mut grids = baseline.clone();
+            let runs =
+                job.clone().threads(threads).shard_width(width).run_batch(&mut grids).unwrap();
+            assert_eq!(runs, expect_runs, "threads={threads} width={width}");
+            assert_eq!(grids, expect, "threads={threads} width={width}");
+        }
+    }
+
+    #[test]
+    fn large_batch_takes_kernel_fallback_and_matches_runs() {
+        // 34 * 34 = 1156 cells > LOCKSTEP_MAX_CELLS, so this batch runs
+        // through the per-grid kernel branch.
+        let side = 34;
+        assert!(side * side > LOCKSTEP_MAX_CELLS);
+        let job = SortJob::new(AlgorithmId::SnakeAlternating, side);
+        let mut grids: Vec<Grid<u32>> = (0..3).map(|i| scrambled(side, i)).collect();
+        let mut solo = grids.clone();
+        let runs = job.run_batch(&mut grids).unwrap();
+        for (i, g) in solo.iter_mut().enumerate() {
+            assert_eq!(runs[i], job.run(g).unwrap(), "grid {i}");
+            assert_eq!(&grids[i], g, "grid {i}");
         }
     }
 
@@ -702,6 +838,12 @@ mod tests {
         let err = SortJob::new(AlgorithmId::RowMajorRowFirst, 3).run(&mut odd).unwrap_err();
         assert!(matches!(err, Error::Mesh(MeshError::UnsupportedSide { side: 3, .. })));
         assert_eq!(err.code(), 105);
+        let err = SortJob::new(AlgorithmId::RowMajorRowFirst, 3)
+            .run_batch(std::slice::from_mut(&mut odd))
+            .unwrap_err();
+        assert!(matches!(err, Error::Mesh(MeshError::UnsupportedSide { side: 3, .. })));
+        // Snake algorithms are defined on odd sides.
+        assert!(SortJob::new(AlgorithmId::SnakeAlternating, 3).run(&mut odd).unwrap().sorted());
     }
 
     #[test]

@@ -49,12 +49,8 @@ pub mod snake;
 pub mod variants;
 
 pub use algorithm::AlgorithmId;
-#[allow(deprecated)] // legacy surface: re-exported so downstream deprecation is gradual
-pub use batch::{sort_batch, sort_batch_with};
 pub use batch::{DEFAULT_SHARD_WIDTH, LOCKSTEP_MAX_CELLS};
 pub use cache::{optimized_for, schedule_for, static_bound_for};
 pub use error::Error;
 pub use job::{Budget, Convergence, Engine, FaultStats, RunOutcome, SortJob};
-pub use runner::{fault_plan_for, resilient_policy_for, static_step_bound, ResilientRun, SortRun};
-#[allow(deprecated)] // legacy surface: re-exported so downstream deprecation is gradual
-pub use runner::{sort_resilient, sort_to_completion, sort_to_completion_optimized};
+pub use runner::{fault_plan_for, resilient_policy_for, static_step_bound};

@@ -1,25 +1,16 @@
-//! High-level sorting drivers with paper-appropriate step caps.
+//! Step caps, convergence bounds and fault policies for sorting runs.
 //!
-//! Every entry point resolves its compiled schedule through the shared
-//! [`crate::cache`], so repeated sorts of the same `(algorithm, side)` —
+//! [`crate::SortJob`] is the one way to run a sort; these helpers size
+//! its budgets ([`default_step_cap`], [`static_step_bound`]), its
+//! resilient policy ([`resilient_policy_for`]) and its fault plans
+//! ([`fault_plan_for`]). Each resolves through the shared
+//! [`crate::cache`], so repeated calls for the same `(algorithm, side)` —
 //! the shape of every Monte-Carlo sweep — never recompile a plan.
-//!
-//! The single-run drivers here (`sort_to_completion` and friends) are
-//! **deprecated shims** over [`crate::SortJob`], kept so existing callers
-//! and the differential suites keep compiling; `tests/job_equivalence.rs`
-//! proves each shim bit-identical to its job. New code should build a
-//! [`crate::SortJob`] directly. The cap/bound/policy helpers
-//! ([`default_step_cap`], [`static_step_bound`], [`resilient_policy_for`],
-//! [`fault_plan_for`], [`run_exact_steps`]) remain first-class.
 
 use crate::algorithm::AlgorithmId;
 use crate::cache;
-use crate::job::{Budget, SortJob};
 use meshsort_mesh::fault::{self, derive_seed};
-use meshsort_mesh::{
-    FaultPlan, FaultSpec, Grid, KernelValue, MeshError, ResilientPolicy, ResilientReport,
-};
-use std::hash::Hash;
+use meshsort_mesh::{FaultPlan, FaultSpec, MeshError, ResilientPolicy};
 
 /// Generous step cap for a run of any of the five algorithms.
 ///
@@ -65,81 +56,6 @@ pub fn resilient_policy_for(algorithm: AlgorithmId, side: usize) -> ResilientPol
     }
 }
 
-/// Measurement of one sorting run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SortRun {
-    /// Which algorithm ran.
-    pub algorithm: AlgorithmId,
-    /// Mesh side.
-    pub side: usize,
-    /// The engine-level outcome.
-    pub outcome: RunStats,
-}
-
-/// Flattened, serializable mirror of [`meshsort_mesh::schedule::RunOutcome`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunStats {
-    /// Steps executed before the grid first read sorted.
-    pub steps: u64,
-    /// Total exchanges performed.
-    pub swaps: u64,
-    /// Total comparator evaluations.
-    pub comparisons: u64,
-    /// Whether the run finished sorted (always true unless the cap was
-    /// hit, which indicates a bug).
-    pub sorted: bool,
-}
-
-impl From<meshsort_mesh::schedule::RunOutcome> for RunStats {
-    fn from(o: meshsort_mesh::schedule::RunOutcome) -> Self {
-        RunStats { steps: o.steps, swaps: o.swaps, comparisons: o.comparisons, sorted: o.sorted }
-    }
-}
-
-impl From<&crate::job::RunOutcome> for RunStats {
-    fn from(run: &crate::job::RunOutcome) -> Self {
-        RunStats {
-            steps: run.steps,
-            swaps: run.swaps,
-            comparisons: run.comparisons,
-            sorted: run.sorted(),
-        }
-    }
-}
-
-impl RunStats {
-    /// Classifies a legacy (fault-free) run against the grid it produced,
-    /// lifting the bare `sorted` flag into the resilient
-    /// [`fault::RunOutcome`] taxonomy: a capped run reports
-    /// `BudgetExhausted` with its residual inversions instead of a silent
-    /// boolean.
-    pub fn classify<T: Ord + Clone>(
-        &self,
-        grid: &Grid<T>,
-        order: meshsort_mesh::TargetOrder,
-    ) -> fault::RunOutcome {
-        if self.sorted {
-            fault::RunOutcome::Converged { steps: self.steps }
-        } else {
-            fault::RunOutcome::BudgetExhausted {
-                steps: self.steps,
-                residual_inversions: meshsort_mesh::metrics::inversions(grid, order),
-            }
-        }
-    }
-}
-
-/// Measurement of one resilient (fault-injected) sorting run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResilientRun {
-    /// Which algorithm ran.
-    pub algorithm: AlgorithmId,
-    /// Mesh side.
-    pub side: usize,
-    /// The engine-level resilient report (classified outcome included).
-    pub report: ResilientReport,
-}
-
 /// Compiles `spec` into a [`FaultPlan`] for `(algorithm, side)`, deriving
 /// the plan seed from `spec.seed` and the `"name/side"` label so the same
 /// root seed yields decorrelated — but individually reproducible — fault
@@ -160,191 +76,14 @@ pub fn fault_plan_for(
     FaultPlan::compile(&derived, &schedule)
 }
 
-/// Sorts `grid` in place with `algorithm` under a fault plan, through the
-/// resilient kernel runner ([`ResilientPolicy`] budget, livelock
-/// watchdog, recovery scrubbing). Always terminates; the report carries
-/// the classified outcome.
-///
-/// # Errors
-///
-/// [`MeshError::UnsupportedSide`] as for [`sort_to_completion`].
-#[deprecated(
-    note = "use SortJob::new(algorithm, grid.side()).fault_plan(..).resilient_policy(..).run(grid)"
-)]
-pub fn sort_resilient<T: KernelValue + Hash>(
-    algorithm: AlgorithmId,
-    grid: &mut Grid<T>,
-    faults: &FaultPlan,
-    policy: &ResilientPolicy,
-) -> Result<ResilientRun, MeshError> {
-    let side = grid.side();
-    let run = SortJob::new(algorithm, side)
-        .fault_plan(faults.clone())
-        .resilient_policy(*policy)
-        .run(grid)
-        .map_err(crate::error::demote_to_mesh)?;
-    let f = run.faults.expect("resilient runs always report fault stats");
-    Ok(ResilientRun {
-        algorithm,
-        side,
-        report: ResilientReport {
-            outcome: run.convergence,
-            steps: run.steps,
-            swaps: run.swaps,
-            comparisons: run.comparisons,
-            dropped: f.dropped,
-            stalled_steps: f.stalled_steps,
-            recovery_attempts: f.recovery_attempts,
-            recovery_steps: f.recovery_steps,
-        },
-    })
-}
-
-/// Sorts `grid` in place with `algorithm`, running until the grid reaches
-/// the algorithm's target order (or the default cap).
-///
-/// Cell types are bounded by [`KernelValue`] (the primitive integers) so
-/// the run executes through the branchless compiled kernels — the
-/// Monte-Carlo hot path. The scalar engine remains reachable via
-/// [`meshsort_mesh::CycleSchedule::run_until_sorted`] for exotic `Ord`
-/// types; both produce bit-identical outcomes (see
-/// `tests/engine_equivalence.rs`).
-///
-/// # Errors
-///
-/// [`MeshError::UnsupportedSide`] when the algorithm is not defined for
-/// the grid's side (row-major algorithms on odd sides).
-#[deprecated(note = "use SortJob::new(algorithm, grid.side()).run(grid)")]
-pub fn sort_to_completion<T: KernelValue + Hash>(
-    algorithm: AlgorithmId,
-    grid: &mut Grid<T>,
-) -> Result<SortRun, MeshError> {
-    let side = grid.side();
-    let run = SortJob::new(algorithm, side).run(grid).map_err(crate::error::demote_to_mesh)?;
-    Ok(SortRun { algorithm, side, outcome: (&run).into() })
-}
-
-/// Like [`sort_to_completion`] with an explicit step cap.
-///
-/// # Errors
-///
-/// [`MeshError::UnsupportedSide`] as for [`sort_to_completion`].
-#[deprecated(
-    note = "use SortJob::new(algorithm, grid.side()).budget(Budget::Steps(cap)).run(grid)"
-)]
-pub fn sort_with_cap<T: KernelValue + Hash>(
-    algorithm: AlgorithmId,
-    grid: &mut Grid<T>,
-    cap: u64,
-) -> Result<SortRun, MeshError> {
-    let side = grid.side();
-    let run = SortJob::new(algorithm, side)
-        .budget(Budget::Steps(cap))
-        .run(grid)
-        .map_err(crate::error::demote_to_mesh)?;
-    Ok(SortRun { algorithm, side, outcome: (&run).into() })
-}
-
-/// [`sort_to_completion`] through the certified dead-wire-stripped plan
-/// ([`cache::optimized_for`]), capped by the static convergence bound.
-///
-/// Bit-identical to the raw-plan run in final grid, steps, and swaps —
-/// stripped wires never swap — with strictly fewer comparator evaluations
-/// whenever the schedule has dead wires (S3). The default entry points
-/// keep the raw plans; this surface is opt-in, mirrored by
-/// `meshsort schedule --optimized`.
-///
-/// # Errors
-///
-/// [`MeshError::UnsupportedSide`] as for [`sort_to_completion`].
-#[deprecated(
-    note = "use SortJob::new(algorithm, grid.side()).optimized(true).budget(Budget::Static).run(grid)"
-)]
-pub fn sort_to_completion_optimized<T: KernelValue + Hash>(
-    algorithm: AlgorithmId,
-    grid: &mut Grid<T>,
-) -> Result<SortRun, MeshError> {
-    let side = grid.side();
-    let run = SortJob::new(algorithm, side)
-        .optimized(true)
-        .budget(Budget::Static)
-        .run(grid)
-        .map_err(crate::error::demote_to_mesh)?;
-    Ok(SortRun { algorithm, side, outcome: (&run).into() })
-}
-
-/// Runs `algorithm` for exactly `steps` steps from the cycle start,
-/// returning the engine totals — used by the 0–1 observers that need the
-/// state "immediately after step t".
-///
-/// # Errors
-///
-/// [`MeshError::UnsupportedSide`] as for [`sort_to_completion`].
-pub fn run_exact_steps<T: KernelValue>(
-    algorithm: AlgorithmId,
-    grid: &mut Grid<T>,
-    steps: u64,
-) -> Result<RunStats, MeshError> {
-    let schedule = cache::schedule_for(algorithm, grid.side())?;
-    let out = schedule.run_steps_kernel(grid, 0, steps);
-    Ok(RunStats { steps, swaps: out.swaps, comparisons: out.comparisons, sorted: false })
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shims stay pinned by their original tests
 mod tests {
     use super::*;
-    use meshsort_mesh::TargetOrder;
 
     #[test]
     fn cap_is_theta_n() {
         assert!(default_step_cap(4) >= 8 * 16);
         assert!(default_step_cap(32) >= 8 * 1024);
-    }
-
-    #[test]
-    fn sort_to_completion_all_five_8x8() {
-        let side = 8;
-        let n = side * side;
-        for a in AlgorithmId::ALL {
-            let mut g = Grid::from_rows(side, (0..n as u32).rev().collect()).unwrap();
-            let run = sort_to_completion(a, &mut g).unwrap();
-            assert!(run.outcome.sorted, "{a}");
-            assert!(g.is_sorted(a.order()), "{a}");
-            assert_eq!(run.side, side);
-            assert_eq!(run.algorithm, a);
-            // Θ(N) regime: a reversed input is expensive.
-            assert!(run.outcome.steps >= side as u64, "{a}: {}", run.outcome.steps);
-            assert!(run.outcome.steps <= default_step_cap(side), "{a}");
-        }
-    }
-
-    #[test]
-    fn unsupported_side_propagates() {
-        let mut g = Grid::from_rows(3, (0..9u32).collect()).unwrap();
-        assert!(sort_to_completion(AlgorithmId::RowMajorRowFirst, &mut g).is_err());
-        assert!(sort_to_completion(AlgorithmId::SnakeAlternating, &mut g).is_ok());
-    }
-
-    #[test]
-    fn run_exact_steps_counts() {
-        let side = 4;
-        let mut g = Grid::from_rows(side, (0..16u32).rev().collect()).unwrap();
-        let stats = run_exact_steps(AlgorithmId::RowMajorRowFirst, &mut g, 1).unwrap();
-        assert_eq!(stats.steps, 1);
-        // One odd row step on a reversed grid swaps every pair.
-        assert_eq!(stats.swaps, 8);
-        assert_eq!(stats.comparisons, 8);
-    }
-
-    #[test]
-    fn sort_with_tight_cap_reports_unsorted() {
-        let side = 8;
-        let mut g = Grid::from_rows(side, (0..64u32).rev().collect()).unwrap();
-        let run = sort_with_cap(AlgorithmId::SnakeAlternating, &mut g, 2).unwrap();
-        assert!(!run.outcome.sorted);
-        assert_eq!(run.outcome.steps, 2);
-        assert!(!g.is_sorted(TargetOrder::Snake));
     }
 
     #[test]
@@ -362,63 +101,6 @@ mod tests {
         assert_eq!(
             fault_plan_for(AlgorithmId::SnakeAlternating, 8, &bad).unwrap_err(),
             MeshError::InvalidFaultRate { param: "drop_rate" }
-        );
-    }
-
-    #[test]
-    fn sort_resilient_all_five_converge_under_mild_faults() {
-        let side = 8;
-        let n = side * side;
-        let policy = ResilientPolicy::for_side(side);
-        for a in AlgorithmId::ALL {
-            let spec = FaultSpec::transient(0xFA11, 0.02);
-            let faults = fault_plan_for(a, side, &spec).unwrap();
-            let mut g = Grid::from_rows(side, (0..n as u32).rev().collect()).unwrap();
-            let run = sort_resilient(a, &mut g, &faults, &policy).unwrap();
-            assert!(run.report.outcome.converged(), "{a}: {:?}", run.report.outcome);
-            assert!(g.is_sorted(a.order()), "{a}");
-            assert_eq!(run.side, side);
-            assert_eq!(run.algorithm, a);
-        }
-    }
-
-    #[test]
-    fn sort_resilient_noop_faults_match_sort_to_completion() {
-        let side = 8;
-        let n = side * side;
-        let policy = ResilientPolicy::for_side(side);
-        for a in AlgorithmId::ALL {
-            let mut g1 = Grid::from_rows(side, (0..n as u32).rev().collect()).unwrap();
-            let mut g2 = g1.clone();
-            let base = sort_to_completion(a, &mut g1).unwrap();
-            let run = sort_resilient(a, &mut g2, &FaultPlan::none(), &policy).unwrap();
-            assert_eq!(
-                run.report.outcome,
-                fault::RunOutcome::Converged { steps: base.outcome.steps },
-                "{a}"
-            );
-            assert_eq!(run.report.swaps, base.outcome.swaps, "{a}");
-            assert_eq!(run.report.comparisons, base.outcome.comparisons, "{a}");
-            assert_eq!(g1, g2, "{a}");
-        }
-    }
-
-    #[test]
-    fn classify_lifts_the_sorted_flag() {
-        let side = 8;
-        let mut g = Grid::from_rows(side, (0..64u32).rev().collect()).unwrap();
-        let run = sort_with_cap(AlgorithmId::SnakeAlternating, &mut g, 2).unwrap();
-        match run.outcome.classify(&g, TargetOrder::Snake) {
-            fault::RunOutcome::BudgetExhausted { steps, residual_inversions } => {
-                assert_eq!(steps, 2);
-                assert!(residual_inversions > 0);
-            }
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-        let full = sort_to_completion(AlgorithmId::SnakeAlternating, &mut g).unwrap();
-        assert_eq!(
-            full.outcome.classify(&g, TargetOrder::Snake),
-            fault::RunOutcome::Converged { steps: full.outcome.steps }
         );
     }
 
@@ -467,51 +149,5 @@ mod tests {
             resilient_policy_for(AlgorithmId::SnakeAlternating, 512),
             ResilientPolicy::for_side(512)
         );
-    }
-
-    #[test]
-    fn optimized_sort_matches_raw_bit_for_bit() {
-        let side = 8;
-        let n = side * side;
-        for a in AlgorithmId::ALL {
-            let mut raw = Grid::from_rows(side, (0..n as u32).rev().collect()).unwrap();
-            let mut opt = raw.clone();
-            let base = sort_to_completion(a, &mut raw).unwrap();
-            let run = sort_to_completion_optimized(a, &mut opt).unwrap();
-            assert!(base.outcome.sorted && run.outcome.sorted, "{a}");
-            assert_eq!(raw, opt, "{a}: final grids must be bit-identical");
-            assert_eq!(base.outcome.steps, run.outcome.steps, "{a}");
-            assert_eq!(base.outcome.swaps, run.outcome.swaps, "{a}");
-            if a == AlgorithmId::SnakePhaseAligned {
-                assert!(
-                    run.outcome.comparisons < base.outcome.comparisons,
-                    "{a}: dead-wire stripping must reduce comparisons"
-                );
-            } else {
-                assert_eq!(base.outcome.comparisons, run.outcome.comparisons, "{a}");
-            }
-        }
-    }
-
-    #[test]
-    fn optimized_run_respects_the_static_bound() {
-        let side = 8;
-        for a in AlgorithmId::ALL {
-            let mut g = Grid::from_rows(side, (0..64u32).rev().collect()).unwrap();
-            let run = sort_to_completion_optimized(a, &mut g).unwrap();
-            assert!(run.outcome.sorted, "{a}");
-            assert!(run.outcome.steps <= static_step_bound(a, side), "{a}");
-        }
-    }
-
-    #[test]
-    fn already_sorted_costs_zero() {
-        for a in AlgorithmId::ALL {
-            let side = 4;
-            let mut g = meshsort_mesh::grid::sorted_permutation_grid(side, a.order());
-            let run = sort_to_completion(a, &mut g).unwrap();
-            assert_eq!(run.outcome.steps, 0, "{a}");
-            assert!(run.outcome.sorted);
-        }
     }
 }

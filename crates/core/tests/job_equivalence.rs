@@ -1,178 +1,130 @@
-//! Equivalence contract for the SortJob migration (DESIGN.md §14): every
-//! deprecated entry point and its [`SortJob`] replacement are
-//! bit-identical — same final grids, same step/swap/comparison
-//! trajectories, same fault statistics and convergence labels — so
-//! callers migrate mechanically, with no behavioural review. If a shim
-//! ever drifts from the builder path, this suite is the tripwire.
+//! Engine equivalence of [`SortJob`] (DESIGN.md §14): every engine is a
+//! pure dispatch choice. Across the job space — engine × budget × raw or
+//! optimized plan × fault injection, at sides 4, 5, 8 and 34 (above
+//! `LOCKSTEP_MAX_CELLS`, where the batch engine falls back to the kernel)
+//! — each job must reproduce the [`Engine::Scalar`] oracle exactly: the
+//! whole [`RunOutcome`] (steps, swaps, comparisons, convergence label,
+//! budget and fault statistics) and the final grid. `run_batch` must
+//! equal per-grid `run` calls on the same grids.
 
-#![allow(deprecated)] // the legacy shims are the subject under test
+use meshsort_core::{resilient_policy_for, AlgorithmId, Budget, Engine, RunOutcome, SortJob};
+use meshsort_mesh::fault::{FaultPlan, FaultSpec, StuckWire};
+use meshsort_mesh::{Grid, Rng};
 
-use meshsort_core::runner::{
-    self, fault_plan_for, resilient_policy_for, sort_resilient, sort_to_completion,
-    sort_to_completion_optimized, sort_with_cap,
-};
-use meshsort_core::{
-    sort_batch, sort_batch_with, AlgorithmId, Budget, Engine, SortJob, DEFAULT_SHARD_WIDTH,
-};
-use meshsort_mesh::fault::FaultSpec;
-use meshsort_mesh::Grid;
+const ENGINES: [Engine; 3] = [Engine::Auto, Engine::Kernel, Engine::Batch];
+const BUDGETS: [Budget; 4] = [Budget::Default, Budget::Static, Budget::Steps(3), Budget::Steps(40)];
+const SIDES: [usize; 4] = [4, 5, 8, 34];
 
-fn scrambled(side: usize, salt: u32) -> Grid<u32> {
-    let cells = (side * side) as u32;
-    let data: Vec<u32> =
-        (0..cells).map(|v| (v.wrapping_mul(2_654_435_761).wrapping_add(salt)) % cells).collect();
-    Grid::from_rows(side, data).unwrap()
+/// The fault axis of the matrix.
+#[derive(Debug, Clone, Copy)]
+enum Faults {
+    /// A fault-free job.
+    None,
+    /// The no-op fault plan with an explicit policy: the resilient
+    /// engine, with nothing to inject.
+    NoopPlanWithPolicy,
+    /// Transient drops and stalls plus one permanently stuck wire:
+    /// exercises the drop path, the watchdog and recovery scrubbing.
+    TransientAndStuck,
 }
 
-fn sides_for(a: AlgorithmId) -> Vec<usize> {
-    [4usize, 5, 8].into_iter().filter(|&s| a.supports_side(s)).collect()
+fn with_faults(job: SortJob, faults: Faults) -> SortJob {
+    match faults {
+        Faults::None => job,
+        Faults::NoopPlanWithPolicy => {
+            let policy = resilient_policy_for(job.algorithm(), job.side());
+            job.fault_plan(FaultPlan::none()).resilient_policy(policy)
+        }
+        Faults::TransientAndStuck => {
+            let mut spec = FaultSpec::transient(42, 0.02);
+            spec.stall_rate = 0.01;
+            spec.stuck.push(StuckWire::permanent(0, 1));
+            job.fault_spec(spec)
+        }
+    }
 }
 
-#[test]
-fn run_matches_sort_to_completion() {
-    for a in AlgorithmId::ALL {
-        for side in sides_for(a) {
-            for salt in 0..3u32 {
-                let mut old_grid = scrambled(side, salt);
-                let mut new_grid = old_grid.clone();
-                let old = sort_to_completion(a, &mut old_grid).unwrap();
-                let new = SortJob::new(a, side).run(&mut new_grid).unwrap();
-                assert_eq!(old_grid, new_grid, "{a} side {side} salt {salt}: final grids");
-                assert_eq!(old.outcome.steps, new.steps, "{a} side {side} salt {salt}");
-                assert_eq!(old.outcome.swaps, new.swaps, "{a} side {side} salt {salt}");
-                assert_eq!(old.outcome.comparisons, new.comparisons, "{a} side {side}");
-                assert_eq!(old.outcome.sorted, new.sorted(), "{a} side {side} salt {salt}");
+/// A random permutation and a random 0-1 grid (ties on every
+/// comparator class) of side `side`.
+fn inputs(side: usize, rng: &mut Rng) -> Vec<Grid<u32>> {
+    let n = side * side;
+    let mut permutation: Vec<u32> = (0..n as u32).collect();
+    rng.shuffle(&mut permutation);
+    let zero_one: Vec<u32> = (0..n).map(|_| rng.range(0..2) as u32).collect();
+    vec![Grid::from_rows(side, permutation).unwrap(), Grid::from_rows(side, zero_one).unwrap()]
+}
+
+/// Runs `job` on every engine of the matrix and checks each against the
+/// scalar oracle, per grid and batched.
+fn assert_matches_scalar_oracle(job: &SortJob, grids: &[Grid<u32>]) {
+    let oracle: Vec<(RunOutcome, Grid<u32>)> = grids
+        .iter()
+        .map(|g| {
+            let mut g = g.clone();
+            let run = job.clone().engine(Engine::Scalar).run(&mut g).unwrap();
+            (run, g)
+        })
+        .collect();
+    for engine in ENGINES {
+        let job = job.clone().engine(engine);
+        let mut batch = grids.to_vec();
+        let runs = job.run_batch(&mut batch).unwrap();
+        assert_eq!(runs.len(), grids.len());
+        for (i, ((expect, expect_grid), start)) in oracle.iter().zip(grids).enumerate() {
+            let ctx = format!("{job:?}, grid {i}");
+            let mut solo = start.clone();
+            let run = job.run(&mut solo).unwrap();
+            assert_eq!(&run, expect, "{ctx}: run outcome");
+            assert_eq!(&solo, expect_grid, "{ctx}: run grid");
+            assert_eq!(runs[i], run, "{ctx}: run_batch outcome");
+            assert_eq!(batch[i], solo, "{ctx}: run_batch grid");
+        }
+    }
+}
+
+fn check_matrix(faults: Faults, seed: u64) {
+    let mut rng = Rng::seed_from_u64(seed);
+    for side in SIDES {
+        for a in AlgorithmId::ALL.into_iter().filter(|a| a.supports_side(side)) {
+            let grids = inputs(side, &mut rng);
+            for budget in BUDGETS {
+                for optimized in [false, true] {
+                    let job = SortJob::new(a, side).budget(budget).optimized(optimized);
+                    assert_matches_scalar_oracle(&with_faults(job, faults), &grids);
+                }
             }
         }
     }
 }
 
 #[test]
-fn budget_steps_matches_sort_with_cap() {
-    let side = 8;
-    for a in AlgorithmId::ALL {
-        // A starving cap (budget exhausted), a tight one, and the
-        // default: the shim and the builder must agree on all three.
-        for cap in [3u64, 40, runner::default_step_cap(side)] {
-            let mut old_grid = scrambled(side, 7);
-            let mut new_grid = old_grid.clone();
-            let old = sort_with_cap(a, &mut old_grid, cap).unwrap();
-            let new = SortJob::new(a, side).budget(Budget::Steps(cap)).run(&mut new_grid).unwrap();
-            assert_eq!(old_grid, new_grid, "{a} cap {cap}: final grids");
-            assert_eq!(old.outcome.steps, new.steps, "{a} cap {cap}");
-            assert_eq!(old.outcome.swaps, new.swaps, "{a} cap {cap}");
-            assert_eq!(old.outcome.sorted, new.sorted(), "{a} cap {cap}");
-        }
-    }
+fn fault_free_jobs_match_the_scalar_oracle() {
+    check_matrix(Faults::None, 0x10B5);
 }
 
 #[test]
-fn optimized_static_matches_sort_to_completion_optimized() {
-    for a in AlgorithmId::ALL {
-        for side in sides_for(a) {
-            let mut old_grid = scrambled(side, 11);
-            let mut new_grid = old_grid.clone();
-            let old = sort_to_completion_optimized(a, &mut old_grid).unwrap();
-            let new = SortJob::new(a, side)
-                .optimized(true)
-                .budget(Budget::Static)
-                .run(&mut new_grid)
-                .unwrap();
-            assert_eq!(old_grid, new_grid, "{a} side {side}: final grids");
-            assert_eq!(old.outcome.steps, new.steps, "{a} side {side}");
-            assert_eq!(old.outcome.swaps, new.swaps, "{a} side {side}");
-            assert_eq!(old.outcome.comparisons, new.comparisons, "{a} side {side}");
-            assert!(new.sorted(), "{a} side {side}");
-        }
-    }
+fn noop_fault_plan_jobs_match_the_scalar_oracle() {
+    check_matrix(Faults::NoopPlanWithPolicy, 0x10B6);
 }
 
 #[test]
-fn run_batch_matches_sort_batch() {
-    let side = 8;
-    for a in AlgorithmId::ALL {
-        let mut old_grids: Vec<Grid<u32>> = (0..6u32).map(|s| scrambled(side, s)).collect();
-        let mut new_grids = old_grids.clone();
-        let old = sort_batch(a, &mut old_grids).unwrap();
-        let new = SortJob::new(a, side).budget(Budget::Static).run_batch(&mut new_grids).unwrap();
-        assert_eq!(old_grids, new_grids, "{a}: final grids");
-        assert_eq!(old.len(), new.len(), "{a}");
-        for (i, (o, n)) in old.iter().zip(&new).enumerate() {
-            assert_eq!(o.outcome.steps, n.steps, "{a}: grid {i}");
-            assert_eq!(o.outcome.swaps, n.swaps, "{a}: grid {i}");
-            assert_eq!(o.outcome.sorted, n.sorted(), "{a}: grid {i}");
-        }
-    }
+fn faulted_jobs_match_the_scalar_oracle() {
+    check_matrix(Faults::TransientAndStuck, 0x10B7);
 }
 
 #[test]
-fn run_batch_matches_sort_batch_with() {
-    let side = 8;
-    let cap = runner::default_step_cap(side);
-    for a in AlgorithmId::ALL {
-        let mut old_grids: Vec<Grid<u32>> = (30..38u32).map(|s| scrambled(side, s)).collect();
-        let mut new_grids = old_grids.clone();
-        let old = sort_batch_with(a, &mut old_grids, cap, 2, DEFAULT_SHARD_WIDTH).unwrap();
-        let new = SortJob::new(a, side)
-            .budget(Budget::Steps(cap))
-            .threads(2)
-            .shard_width(DEFAULT_SHARD_WIDTH)
-            .run_batch(&mut new_grids)
-            .unwrap();
-        assert_eq!(old_grids, new_grids, "{a}: final grids");
-        for (i, (o, n)) in old.iter().zip(&new).enumerate() {
-            assert_eq!(o.outcome.steps, n.steps, "{a}: grid {i}");
-            assert_eq!(o.outcome.swaps, n.swaps, "{a}: grid {i}");
-        }
-    }
-}
-
-#[test]
-fn fault_spec_matches_fault_plan_for_plus_sort_resilient() {
-    let side = 8;
-    // Transient misfires plus one permanently stuck wire: exercises the
-    // drop path, the watchdog and (usually) a recovery scrub.
-    let spec =
-        FaultSpec { seed: 42, drop_rate: 0.02, stall_rate: 0.01, random_stuck: 1, stuck: vec![] };
-    for a in AlgorithmId::ALL {
-        let policy = resilient_policy_for(a, side);
-        let mut old_grid = scrambled(side, 5);
-        let mut new_grid = old_grid.clone();
-        let plan = fault_plan_for(a, side, &spec).unwrap();
-        let old = sort_resilient(a, &mut old_grid, &plan, &policy).unwrap();
-        let new = SortJob::new(a, side)
-            .fault_spec(spec.clone())
-            .resilient_policy(policy)
-            .run(&mut new_grid)
-            .unwrap();
-        let faults = new.faults.expect("resilient runs report fault stats");
-        assert_eq!(old_grid, new_grid, "{a}: final grids");
-        assert_eq!(old.report.outcome, new.convergence, "{a}: convergence label");
-        assert_eq!(old.report.steps, new.steps, "{a}");
-        assert_eq!(old.report.swaps, new.swaps, "{a}");
-        assert_eq!(old.report.comparisons, new.comparisons, "{a}");
-        assert_eq!(old.report.dropped, faults.dropped, "{a}");
-        assert_eq!(old.report.stalled_steps, faults.stalled_steps, "{a}");
-        assert_eq!(old.report.recovery_attempts, faults.recovery_attempts, "{a}");
-        assert_eq!(old.report.recovery_steps, faults.recovery_steps, "{a}");
-    }
-}
-
-#[test]
-fn every_engine_agrees_with_the_legacy_default() {
-    // The engine knob is new surface with no legacy twin; pin it to the
-    // shim's behaviour so Engine::Auto stays a pure dispatch choice.
-    let side = 8;
-    for a in AlgorithmId::ALL {
-        let mut reference = scrambled(side, 23);
-        let baseline = sort_to_completion(a, &mut reference).unwrap();
-        for engine in [Engine::Auto, Engine::Scalar, Engine::Kernel, Engine::Batch] {
-            let mut grid = scrambled(side, 23);
-            let run = SortJob::new(a, side).engine(engine).run(&mut grid).unwrap();
-            assert_eq!(grid, reference, "{a} {engine:?}: final grid");
-            assert_eq!(run.steps, baseline.outcome.steps, "{a} {engine:?}");
-            assert_eq!(run.swaps, baseline.outcome.swaps, "{a} {engine:?}");
-            assert_eq!(run.comparisons, baseline.outcome.comparisons, "{a} {engine:?}");
-        }
-    }
+fn the_matrix_reaches_every_outcome_class() {
+    // Guards the matrix against going vacuous: the budgets and faults
+    // above must produce converged and budget-exhausted fault-free runs,
+    // and resilient runs that drop comparators.
+    let mut rng = Rng::seed_from_u64(0x10B8);
+    let grids = inputs(8, &mut rng);
+    let a = AlgorithmId::SnakeAlternating;
+    let mut g = grids[0].clone();
+    assert!(SortJob::new(a, 8).run(&mut g).unwrap().sorted());
+    let mut g = grids[0].clone();
+    assert!(!SortJob::new(a, 8).budget(Budget::Steps(3)).run(&mut g).unwrap().sorted());
+    let mut g = grids[0].clone();
+    let faulted = with_faults(SortJob::new(a, 8), Faults::TransientAndStuck).run(&mut g).unwrap();
+    assert!(faulted.faults.expect("resilient runs report fault stats").dropped > 0);
 }

@@ -29,6 +29,95 @@ impl StepOutcome {
     }
 }
 
+/// Hears what one scalar step does, and may veto comparators.
+///
+/// [`apply_plan_observed`] is the one scalar compare-exchange loop; an
+/// observer is how a caller watches it (trace sinks, the
+/// [`InversionTracker`]) or suppresses comparators in it (a
+/// [`FaultPlan`]'s stuck wires and transient drops). Every method has a
+/// no-op default, so an observer implements only what it needs, and the
+/// no-op observer `()` monomorphises [`apply_plan_observed`] into the
+/// bare loop of [`apply_plan`].
+///
+/// Implemented for `()`, `&mut InversionTracker`, `&mut S` for every
+/// [`TraceSink`] `S`, `&FaultPlan` (the veto) and pairs `(A, B)` of
+/// observers.
+pub trait StepObserver {
+    /// Whether comparator `c` is suppressed at step `step`. A vetoed
+    /// comparator is neither evaluated nor counted as a comparison.
+    #[inline]
+    fn vetoes(&mut self, _step: u64, _c: Comparator) -> bool {
+        false
+    }
+
+    /// Called after each executed exchange; `data` is the grid slice
+    /// *after* the exchange.
+    #[inline]
+    fn on_swap<T: Ord>(&mut self, _data: &[T], _step: u64, _c: Comparator) {}
+
+    /// Called once at the end of the step with its swap count.
+    #[inline]
+    fn on_step_end(&mut self, _step: u64, _swaps: u64) {}
+}
+
+/// The no-op observer.
+impl StepObserver for () {}
+
+/// Keeps the tracker exact: O(1) per executed exchange.
+impl StepObserver for &mut InversionTracker {
+    #[inline]
+    fn on_swap<T: Ord>(&mut self, data: &[T], _step: u64, c: Comparator) {
+        self.apply_swap(data, c.keep_min, c.keep_max);
+    }
+}
+
+/// Reports each exchange and each step end to the sink.
+impl<S: TraceSink + ?Sized> StepObserver for &mut S {
+    #[inline]
+    fn on_swap<T: Ord>(&mut self, _data: &[T], step: u64, c: Comparator) {
+        TraceSink::on_swap(*self, step, c.keep_min, c.keep_max);
+    }
+
+    #[inline]
+    fn on_step_end(&mut self, step: u64, swaps: u64) {
+        TraceSink::on_step_end(*self, step, swaps);
+    }
+}
+
+/// Vetoes every comparator the fault plan drops at the step (stuck wires
+/// and transient drops). Stalls are a whole-step decision the caller makes
+/// ([`FaultPlan::step_stalled`]) before it runs the step at all. Fault
+/// decisions are pure per-wire hashes, so the result does not depend on
+/// comparator visit order — the property that keeps the vetoed scalar
+/// step bit-identical to [`apply_compiled_faulty`].
+impl StepObserver for &FaultPlan {
+    #[inline]
+    fn vetoes(&mut self, step: u64, c: Comparator) -> bool {
+        self.comparator_dropped(step, c)
+    }
+}
+
+/// Both observers hear every event; a comparator is vetoed if either
+/// vetoes it.
+impl<A: StepObserver, B: StepObserver> StepObserver for (A, B) {
+    #[inline]
+    fn vetoes(&mut self, step: u64, c: Comparator) -> bool {
+        self.0.vetoes(step, c) || self.1.vetoes(step, c)
+    }
+
+    #[inline]
+    fn on_swap<T: Ord>(&mut self, data: &[T], step: u64, c: Comparator) {
+        self.0.on_swap(data, step, c);
+        self.1.on_swap(data, step, c);
+    }
+
+    #[inline]
+    fn on_step_end(&mut self, step: u64, swaps: u64) {
+        self.0.on_step_end(step, swaps);
+        self.1.on_step_end(step, swaps);
+    }
+}
+
 /// Applies one synchronous step to the grid.
 ///
 /// # Panics
@@ -37,89 +126,46 @@ impl StepOutcome {
 /// [`StepPlan::check_bounds`] when accepting plans from untrusted
 /// construction paths. Plans produced by this workspace's algorithm
 /// builders are checked at build time.
+#[inline]
 pub fn apply_plan<T: Ord>(grid: &mut Grid<T>, plan: &StepPlan) -> StepOutcome {
-    let data = grid.as_mut_slice();
-    let mut swaps = 0u64;
-    for c in plan.comparators() {
-        let (lo, hi) = (c.keep_min as usize, c.keep_max as usize);
-        if data[lo] > data[hi] {
-            data.swap(lo, hi);
-            swaps += 1;
-        }
-    }
-    StepOutcome { comparisons: plan.len() as u64, swaps }
+    apply_plan_observed(grid, plan, 0, ())
 }
 
-/// Applies one step while reporting each executed exchange to a trace sink.
-/// Slower than [`apply_plan`]; used by observers and debugging tools.
-pub fn apply_plan_traced<T: Ord, S: TraceSink>(
-    grid: &mut Grid<T>,
-    plan: &StepPlan,
-    step_index: u64,
-    sink: &mut S,
-) -> StepOutcome {
-    let data = grid.as_mut_slice();
-    let mut swaps = 0u64;
-    for c in plan.comparators() {
-        let (lo, hi) = (c.keep_min as usize, c.keep_max as usize);
-        if data[lo] > data[hi] {
-            data.swap(lo, hi);
-            swaps += 1;
-            sink.on_swap(step_index, c.keep_min, c.keep_max);
-        }
-    }
-    sink.on_step_end(step_index, swaps);
-    StepOutcome { comparisons: plan.len() as u64, swaps }
-}
-
-/// Applies one step while keeping an [`InversionTracker`] exact: the
-/// tracker's count is updated in O(1) after every executed exchange, so
-/// the caller can test sortedness in O(1) after the step.
+/// Applies step `step` of a run to the grid while `obs` watches: the one
+/// scalar compare-exchange loop behind [`apply_plan`], the traced and
+/// tracked runs and the scalar fault oracle.
 ///
-/// Behaviourally identical to [`apply_plan`] on the grid and the returned
-/// outcome; the tracker must have been built over this grid (and kept
-/// up to date through every intervening exchange).
-pub fn apply_plan_tracked<T: Ord>(
+/// Vetoed comparators are skipped and not counted, so `comparisons` is
+/// the plan length less the vetoes. Without vetoes the grid and the
+/// outcome are exactly [`apply_plan`]'s.
+///
+/// # Panics
+///
+/// As for [`apply_plan`].
+#[inline]
+pub fn apply_plan_observed<T: Ord, O: StepObserver>(
     grid: &mut Grid<T>,
     plan: &StepPlan,
-    tracker: &mut InversionTracker,
+    step: u64,
+    mut obs: O,
 ) -> StepOutcome {
     let data = grid.as_mut_slice();
     let mut swaps = 0u64;
-    for c in plan.comparators() {
+    let mut vetoed = 0u64;
+    for &c in plan.comparators() {
+        if obs.vetoes(step, c) {
+            vetoed += 1;
+            continue;
+        }
         let (lo, hi) = (c.keep_min as usize, c.keep_max as usize);
         if data[lo] > data[hi] {
             data.swap(lo, hi);
             swaps += 1;
-            tracker.apply_swap(data, c.keep_min, c.keep_max);
+            obs.on_swap(data, step, c);
         }
     }
-    StepOutcome { comparisons: plan.len() as u64, swaps }
-}
-
-/// [`apply_plan_traced`] and [`apply_plan_tracked`] combined: reports each
-/// exchange to the sink *and* keeps the tracker exact. Used by the traced
-/// runner so the 0–1 observers get O(1) per-step sortedness checks too.
-pub fn apply_plan_traced_tracked<T: Ord, S: TraceSink>(
-    grid: &mut Grid<T>,
-    plan: &StepPlan,
-    step_index: u64,
-    sink: &mut S,
-    tracker: &mut InversionTracker,
-) -> StepOutcome {
-    let data = grid.as_mut_slice();
-    let mut swaps = 0u64;
-    for c in plan.comparators() {
-        let (lo, hi) = (c.keep_min as usize, c.keep_max as usize);
-        if data[lo] > data[hi] {
-            data.swap(lo, hi);
-            swaps += 1;
-            sink.on_swap(step_index, c.keep_min, c.keep_max);
-            tracker.apply_swap(data, c.keep_min, c.keep_max);
-        }
-    }
-    sink.on_step_end(step_index, swaps);
-    StepOutcome { comparisons: plan.len() as u64, swaps }
+    obs.on_step_end(step, swaps);
+    StepOutcome { comparisons: plan.len() as u64 - vetoed, swaps }
 }
 
 /// What happened during one step executed under a [`FaultPlan`].
@@ -133,68 +179,9 @@ pub struct FaultyStepOutcome {
     pub dropped: u64,
 }
 
-/// Applies one step under a fault plan: suppressed comparators (stuck
-/// wires, transient drops) are skipped.
-///
-/// Stalls are a whole-step decision the caller makes
-/// ([`FaultPlan::step_stalled`]) before it calls any faulty step
-/// function; the step given here runs. With a no-op plan
-/// ([`FaultPlan::is_noop`]) this is behaviourally identical to
-/// [`apply_plan`]. Fault decisions are pure per-wire hashes, so the
-/// result is independent of comparator visit order — the property that
-/// keeps this path bit-identical to [`apply_compiled_faulty`].
-pub fn apply_plan_faulty<T: Ord>(
-    grid: &mut Grid<T>,
-    plan: &StepPlan,
-    step: u64,
-    faults: &FaultPlan,
-) -> FaultyStepOutcome {
-    let data = grid.as_mut_slice();
-    let mut swaps = 0u64;
-    let mut dropped = 0u64;
-    for c in plan.comparators() {
-        if faults.comparator_dropped(step, *c) {
-            dropped += 1;
-            continue;
-        }
-        let (lo, hi) = (c.keep_min as usize, c.keep_max as usize);
-        if data[lo] > data[hi] {
-            data.swap(lo, hi);
-            swaps += 1;
-        }
-    }
-    FaultyStepOutcome { comparisons: plan.len() as u64 - dropped, swaps, dropped }
-}
-
-/// [`apply_plan_faulty`] while keeping an [`InversionTracker`] exact
-/// (updated in O(1) after every executed exchange).
-pub fn apply_plan_faulty_tracked<T: Ord>(
-    grid: &mut Grid<T>,
-    plan: &StepPlan,
-    step: u64,
-    faults: &FaultPlan,
-    tracker: &mut InversionTracker,
-) -> FaultyStepOutcome {
-    let data = grid.as_mut_slice();
-    let mut swaps = 0u64;
-    let mut dropped = 0u64;
-    for c in plan.comparators() {
-        if faults.comparator_dropped(step, *c) {
-            dropped += 1;
-            continue;
-        }
-        let (lo, hi) = (c.keep_min as usize, c.keep_max as usize);
-        if data[lo] > data[hi] {
-            data.swap(lo, hi);
-            swaps += 1;
-            tracker.apply_swap(data, c.keep_min, c.keep_max);
-        }
-    }
-    FaultyStepOutcome { comparisons: plan.len() as u64 - dropped, swaps, dropped }
-}
-
-/// The kernel-engine counterpart of [`apply_plan_faulty`]: one drop mask
-/// around the branchless compiled segments.
+/// The kernel-engine counterpart of [`apply_plan_observed`] under a
+/// [`FaultPlan`] veto: one drop mask around the branchless compiled
+/// segments.
 ///
 /// The step's drop set comes from [`FaultPlan::drop_mask`], 64 wires per
 /// word. The cells of every dropped comparator are saved into `held`, the
@@ -202,7 +189,7 @@ pub fn apply_plan_faulty_tracked<T: Ord>(
 /// exchanges they would have made. The comparators of one step touch
 /// disjoint cells ([`StepPlan`] enforces this), so restoring a dropped
 /// pair cannot undo anything another comparator did: the result is
-/// exactly [`apply_plan_faulty`]'s grid and counts, which
+/// exactly the vetoed scalar step's grid and counts, which
 /// `tests/fault_props.rs` and the `meshsort-core` `fault_differential`
 /// suite pin.
 ///
@@ -252,7 +239,9 @@ pub fn apply_compiled<T: KernelValue>(grid: &mut Grid<T>, compiled: &CompiledPla
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultSpec, StuckWire};
     use crate::order::TargetOrder;
+    use crate::schedule::CycleSchedule;
     use crate::trace::SwapLog;
 
     #[test]
@@ -312,49 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_application_records_swaps() {
-        let mut g = Grid::from_rows(2, vec![5, 1, 0, 2]).unwrap();
-        let plan = StepPlan::from_pairs(vec![(0, 1), (2, 3)]).unwrap();
-        let mut log = SwapLog::default();
-        let out = apply_plan_traced(&mut g, &plan, 7, &mut log);
-        assert_eq!(out.swaps, 1);
-        assert_eq!(log.swaps(), &[(7, 0, 1)]);
-        assert_eq!(log.step_totals(), &[(7, 1)]);
-    }
-
-    #[test]
-    fn tracked_application_matches_untracked() {
-        let order = TargetOrder::Snake;
-        let mut a = Grid::from_rows(3, vec![8u32, 1, 6, 3, 5, 7, 4, 9, 2]).unwrap();
-        let mut b = a.clone();
-        let mut tracker = InversionTracker::new(&b, order);
-        let plan = StepPlan::from_pairs(vec![(0, 1), (2, 5), (3, 4), (6, 7)]).unwrap();
-        let oa = apply_plan(&mut a, &plan);
-        let ob = apply_plan_tracked(&mut b, &plan, &mut tracker);
-        assert_eq!(oa, ob);
-        assert_eq!(a, b);
-        assert_eq!(tracker.inversions(), b.order_inversions(order) as u64);
-        assert_eq!(tracker.is_sorted(), b.is_sorted(order));
-    }
-
-    #[test]
-    fn traced_tracked_matches_traced() {
-        let order = TargetOrder::RowMajor;
-        let mut a = Grid::from_rows(2, vec![5u32, 1, 0, 2]).unwrap();
-        let mut b = a.clone();
-        let plan = StepPlan::from_pairs(vec![(0, 1), (2, 3)]).unwrap();
-        let mut log_a = SwapLog::default();
-        let mut log_b = SwapLog::default();
-        let mut tracker = InversionTracker::new(&b, order);
-        let oa = apply_plan_traced(&mut a, &plan, 3, &mut log_a);
-        let ob = apply_plan_traced_tracked(&mut b, &plan, 3, &mut log_b, &mut tracker);
-        assert_eq!(oa, ob);
-        assert_eq!(a, b);
-        assert_eq!(log_a.swaps(), log_b.swaps());
-        assert_eq!(tracker.inversions(), b.order_inversions(order) as u64);
-    }
-
-    #[test]
     fn compiled_application_matches_scalar() {
         let mut a = Grid::from_rows(3, vec![8u32, 1, 6, 3, 5, 7, 4, 9, 2]).unwrap();
         let mut b = a.clone();
@@ -367,51 +313,17 @@ mod tests {
     }
 
     #[test]
-    fn faulty_with_noop_plan_matches_plain() {
-        let faults = FaultPlan::none();
-        let mut a = Grid::from_rows(3, vec![8u32, 1, 6, 3, 5, 7, 4, 9, 2]).unwrap();
-        let mut b = a.clone();
-        let plan = StepPlan::from_pairs(vec![(0, 1), (2, 5), (3, 4), (6, 7)]).unwrap();
-        let oa = apply_plan(&mut a, &plan);
-        let ob = apply_plan_faulty(&mut b, &plan, 0, &faults);
-        assert_eq!(
-            ob,
-            FaultyStepOutcome { comparisons: oa.comparisons, swaps: oa.swaps, dropped: 0 }
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn stuck_wire_suppresses_exchange() {
-        use crate::fault::{FaultSpec, StuckWire};
         let plan = StepPlan::from_pairs(vec![(0, 1), (2, 3)]).unwrap();
-        let schedule = crate::schedule::CycleSchedule::new(vec![plan.clone()], 4).unwrap();
+        let schedule = CycleSchedule::new(vec![plan.clone()], 4).unwrap();
         let mut spec = FaultSpec::none(0);
         spec.stuck.push(StuckWire::permanent(0, 1));
         let faults = FaultPlan::compile(&spec, &schedule).unwrap();
         let mut g = Grid::from_rows(2, vec![5, 1, 2, 0]).unwrap();
-        let out = apply_plan_faulty(&mut g, &plan, 0, &faults);
-        assert_eq!(out, FaultyStepOutcome { comparisons: 1, swaps: 1, dropped: 1 });
+        let out = apply_plan_observed(&mut g, &plan, 0, &faults);
+        assert_eq!(out, StepOutcome { comparisons: 1, swaps: 1 });
         // (0,1) untouched, (2,3) exchanged.
         assert_eq!(g.as_slice(), &[5, 1, 0, 2]);
-    }
-
-    #[test]
-    fn compiled_faulty_matches_scalar_faulty() {
-        use crate::fault::FaultSpec;
-        let plan = StepPlan::from_pairs(vec![(0, 1), (2, 5), (3, 4), (6, 7)]).unwrap();
-        let schedule = crate::schedule::CycleSchedule::new(vec![plan.clone()], 9).unwrap();
-        let compiled = CompiledPlan::compile(&plan);
-        let faults = FaultPlan::compile(&FaultSpec::transient(0xBEEF, 0.5), &schedule).unwrap();
-        for step in 0..32u64 {
-            let mut a = Grid::from_rows(3, vec![8u32, 1, 6, 3, 5, 7, 4, 9, 2]).unwrap();
-            let mut b = a.clone();
-            let oa = apply_plan_faulty(&mut a, &plan, step, &faults);
-            let ob =
-                apply_compiled_faulty(&mut b, &compiled, &plan, step, &faults, &mut Vec::new());
-            assert_eq!(oa, ob, "step {step}");
-            assert_eq!(a, b, "step {step}");
-        }
     }
 
     /// A 12×12 step of 70 disjoint comparators — more than one 64-wire
@@ -425,14 +337,107 @@ mod tests {
         StepPlan::from_pairs(pairs).unwrap()
     }
 
+    /// What one observed step reports besides the grid: its outcome and
+    /// the tracker and swap log it kept, when the observer has them.
+    struct Observed {
+        out: StepOutcome,
+        tracker: Option<InversionTracker>,
+        log: Option<SwapLog>,
+    }
+
+    /// One row of the observer matrix: runs `plan` as step `step` of
+    /// `grid` through [`apply_plan_observed`] with one observer.
+    type Case = fn(&mut Grid<u32>, &StepPlan, u64, &FaultPlan, TargetOrder) -> Observed;
+
     #[test]
-    fn masked_step_matches_scalar_faulty_step() {
-        use crate::fault::{FaultSpec, StuckWire};
+    fn observer_matrix_matches_the_executors_and_keeps_trackers_exact() {
+        // (name, vetoed by the fault plan, run the step)
+        let cases: [(&str, bool, Case); 5] = [
+            ("no-op", false, |g, plan, step, _, _| Observed {
+                out: apply_plan_observed(g, plan, step, ()),
+                tracker: None,
+                log: None,
+            }),
+            ("tracker", false, |g, plan, step, _, order| {
+                let mut tracker = InversionTracker::new(g, order);
+                let out = apply_plan_observed(g, plan, step, &mut tracker);
+                Observed { out, tracker: Some(tracker), log: None }
+            }),
+            ("swap log", false, |g, plan, step, _, _| {
+                let mut log = SwapLog::default();
+                let out = apply_plan_observed(g, plan, step, &mut log);
+                Observed { out, tracker: None, log: Some(log) }
+            }),
+            ("tracker + sink", false, |g, plan, step, _, order| {
+                let mut tracker = InversionTracker::new(g, order);
+                let mut log = SwapLog::default();
+                let out = apply_plan_observed(g, plan, step, (&mut tracker, &mut log));
+                Observed { out, tracker: Some(tracker), log: Some(log) }
+            }),
+            ("fault veto + tracker", true, |g, plan, step, faults, order| {
+                let mut tracker = InversionTracker::new(g, order);
+                let out = apply_plan_observed(g, plan, step, (faults, &mut tracker));
+                Observed { out, tracker: Some(tracker), log: None }
+            }),
+        ];
+        let plan = mixed_segment_plan();
+        let compiled = CompiledPlan::compile(&plan);
+        let schedule = CycleSchedule::new(vec![plan.clone()], 144).unwrap();
+        let mut stuck = FaultSpec::transient(0xBEEF, 0.3);
+        stuck.stuck.push(StuckWire::permanent(137, 138));
+        stuck.stuck.push(StuckWire::window(96, 108, 4, 12));
+        let mut rng = crate::Rng::seed_from_u64(0x0B5E);
+        let mut held = Vec::new();
+        for spec in [FaultSpec::none(0), stuck] {
+            let faults = FaultPlan::compile(&spec, &schedule).unwrap();
+            for step in 0..24u64 {
+                let order = [TargetOrder::RowMajor, TargetOrder::Snake][step as usize % 2];
+                // Few distinct values, so ties and already-ordered pairs occur.
+                let data: Vec<u32> = (0..144).map(|_| rng.range(0..20) as u32).collect();
+                let start = Grid::from_rows(12, data).unwrap();
+                let mut clean = start.clone();
+                let clean_out = apply_plan(&mut clean, &plan);
+                let mut faulty = start.clone();
+                let f =
+                    apply_compiled_faulty(&mut faulty, &compiled, &plan, step, &faults, &mut held);
+                let faulty_out = StepOutcome { comparisons: f.comparisons, swaps: f.swaps };
+                for (name, vetoed, run) in cases {
+                    let (expect, expect_out) =
+                        if vetoed { (&faulty, faulty_out) } else { (&clean, clean_out) };
+                    let ctx = format!("{name}, {spec:?}, step {step}");
+                    let mut g = start.clone();
+                    let seen = run(&mut g, &plan, step, &faults, order);
+                    assert_eq!(seen.out, expect_out, "{ctx}");
+                    assert_eq!(&g, expect, "{ctx}");
+                    if let Some(tracker) = seen.tracker {
+                        assert_eq!(tracker.inversions(), g.order_inversions(order) as u64, "{ctx}");
+                        assert_eq!(tracker.is_sorted(), g.is_sorted(order), "{ctx}");
+                    }
+                    if let Some(log) = seen.log {
+                        // Disjoint comparators: a comparator swaps iff its
+                        // cells were out of order before the step.
+                        let before = start.as_slice();
+                        let swapped: Vec<(u64, u32, u32)> = plan
+                            .comparators()
+                            .iter()
+                            .filter(|c| before[c.keep_min as usize] > before[c.keep_max as usize])
+                            .map(|c| (step, c.keep_min, c.keep_max))
+                            .collect();
+                        assert_eq!(log.swaps(), swapped.as_slice(), "{ctx}");
+                        assert_eq!(log.step_totals(), &[(step, expect_out.swaps)], "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masked_step_matches_vetoed_scalar_step() {
         let plan = mixed_segment_plan();
         assert_eq!(plan.len(), 70);
         let compiled = CompiledPlan::compile(&plan);
         assert_eq!(compiled.run_segments(), 3, "the four irregular wires form the scatter tail");
-        let schedule = crate::schedule::CycleSchedule::new(vec![plan.clone()], 144).unwrap();
+        let schedule = CycleSchedule::new(vec![plan.clone()], 144).unwrap();
         let mut stuck = FaultSpec::transient(3, 0.05);
         stuck.stuck.push(StuckWire::permanent(137, 138));
         stuck.stuck.push(StuckWire::window(96, 108, 4, 12));
@@ -445,9 +450,17 @@ mod tests {
                 let data: Vec<u32> = (0..144).map(|_| rng.range(0..20) as u32).collect();
                 let mut a = Grid::from_rows(12, data.clone()).unwrap();
                 let mut b = a.clone();
-                let oa = apply_plan_faulty(&mut a, &plan, step, &faults);
+                let oa = apply_plan_observed(&mut a, &plan, step, &faults);
                 let ob = apply_compiled_faulty(&mut b, &compiled, &plan, step, &faults, &mut held);
-                assert_eq!(oa, ob, "{spec:?} step {step}");
+                assert_eq!(
+                    ob,
+                    FaultyStepOutcome {
+                        comparisons: oa.comparisons,
+                        swaps: oa.swaps,
+                        dropped: plan.len() as u64 - oa.comparisons
+                    },
+                    "{spec:?} step {step}"
+                );
                 assert_eq!(a, b, "{spec:?} step {step}");
                 let dropped: Vec<Comparator> = plan
                     .comparators()
@@ -467,10 +480,9 @@ mod tests {
 
     #[test]
     fn masked_step_with_every_comparator_dropped_changes_nothing() {
-        use crate::fault::FaultSpec;
         let plan = mixed_segment_plan();
         let compiled = CompiledPlan::compile(&plan);
-        let schedule = crate::schedule::CycleSchedule::new(vec![plan.clone()], 144).unwrap();
+        let schedule = CycleSchedule::new(vec![plan.clone()], 144).unwrap();
         let faults = FaultPlan::compile(&FaultSpec::transient(1, 1.0), &schedule).unwrap();
         let mut g = Grid::from_rows(12, (0..144u32).rev().collect()).unwrap();
         let before = g.clone();
@@ -480,22 +492,8 @@ mod tests {
         assert_eq!(g, before);
         assert_eq!(held.len(), 70);
         let mut c = before.clone();
-        assert_eq!(apply_plan_faulty(&mut c, &plan, 0, &faults), out);
-    }
-
-    #[test]
-    fn faulty_tracked_keeps_tracker_exact() {
-        use crate::fault::FaultSpec;
-        let order = TargetOrder::Snake;
-        let plan = StepPlan::from_pairs(vec![(0, 1), (2, 5), (3, 4), (6, 7)]).unwrap();
-        let schedule = crate::schedule::CycleSchedule::new(vec![plan.clone()], 9).unwrap();
-        let faults = FaultPlan::compile(&FaultSpec::transient(7, 0.4), &schedule).unwrap();
-        let mut g = Grid::from_rows(3, vec![8u32, 1, 6, 3, 5, 7, 4, 9, 2]).unwrap();
-        let mut tracker = InversionTracker::new(&g, order);
-        for step in 0..16u64 {
-            apply_plan_faulty_tracked(&mut g, &plan, step, &faults, &mut tracker);
-            assert_eq!(tracker.inversions(), g.order_inversions(order) as u64, "step {step}");
-        }
+        assert_eq!(apply_plan_observed(&mut c, &plan, 0, &faults), StepOutcome::default());
+        assert_eq!(c, before);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! want to print the grid as it evolves. Both are served by cheap observer
 //! hooks rather than by baking observation into the engine.
 
-/// Receives swap events from [`crate::engine::apply_plan_traced`].
+/// Receives swap events from a scalar step
+/// ([`crate::engine::apply_plan_observed`] takes any `&mut` sink as its
+/// observer).
 pub trait TraceSink {
     /// Called after each executed exchange with the step index and the two
     /// flat cell indices of the comparator (min-end first).

@@ -5,7 +5,7 @@
 //! observability: same final grid, same swap/comparison counts, same
 //! first-sorted step.
 
-use meshsort_mesh::engine::{apply_plan, apply_plan_tracked};
+use meshsort_mesh::engine::{apply_plan, apply_plan_observed};
 use meshsort_mesh::plan::{Comparator, StepPlan};
 use meshsort_mesh::rng::{self, Rng};
 use meshsort_mesh::trace::SwapCounter;
@@ -131,7 +131,7 @@ fn tracker_stays_exact_under_plan_application() {
         let mut grid = Grid::from_rows(5, data).unwrap();
         let mut tracker = InversionTracker::new(&grid, order);
         for plan in &plans {
-            apply_plan_tracked(&mut grid, plan, &mut tracker);
+            apply_plan_observed(&mut grid, plan, 0, &mut tracker);
             assert_eq!(tracker.inversions(), grid.order_inversions(order) as u64);
             assert_eq!(tracker.is_sorted(), grid.is_sorted(order));
         }

@@ -62,9 +62,6 @@ pub mod cli;
 
 /// The most common imports, one `use` away.
 pub mod prelude {
-    pub use meshsort_core::runner::SortRun;
-    #[allow(deprecated)] // legacy shims stay importable while downstream migrates
-    pub use meshsort_core::runner::{sort_to_completion, sort_with_cap};
     pub use meshsort_core::{AlgorithmId, Budget, Engine, RunOutcome, SortJob};
     pub use meshsort_mesh::{Grid, Pos, Rng, TargetOrder};
     pub use meshsort_workloads::permutation::random_permutation_grid;
